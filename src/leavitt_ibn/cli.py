@@ -321,6 +321,9 @@ def main(argv=None) -> int:
     except errors.GraphAlgebraError as exc:
         sys.stderr.write(f"precondition violated: {type(exc).__name__}: {exc}\n")
         return EX_PRECONDITION
+    except Exception as exc:  # a bug; reported, not a traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EX_INTERNAL
 
 
 def entry() -> None:

@@ -71,7 +71,8 @@ class NotApplicable(GraphAlgebraError):
 
 
 class WitnessConstructionFailed(GraphAlgebraError):
-    """Slack escalation exhausted; signals a bug, never a verdict."""
+    """A constructed witness failed its replay check; signals a bug, never a
+    verdict."""
 
 
 class MalformedWitness(GraphAlgebraError):

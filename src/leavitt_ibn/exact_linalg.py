@@ -1,9 +1,10 @@
-"""Exact integer/rational linear algebra for the rank criterion.
+"""Exact integer linear algebra for the rank criterion.
 
-Two elimination routes on purpose: rank works fraction-free on arbitrary
-precision integers (one-step division-exact updates), solve_particular
-works in reduced row-echelon form over Fraction.  Tests cross-check one
-against an independent rational elimination; do not merge the routes.
+One elimination route: rank, augmented ranks and the particular solution
+all run the same fraction-free integer elimination (one-step
+division-exact updates) with the same pivot rule.  The particular
+solution is back-substituted in integers over one common denominator.
+Tests cross-check both against independent rational eliminations.
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def augment(m: IntMatrix, rhs: Sequence[int]) -> IntMatrix:
     return IntMatrix(m.rows, c + 1, tuple(entries))
 
 
-def augmented_ranks(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, int]:
-    """(rank of M, rank of [M | rhs]) from a single elimination: columns are
-    processed left to right, so pivots landing before the last column are
-    exactly the pivots of M alone."""
+def _eliminate_augmented(
+    m: IntMatrix, rhs: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """[M | rhs] as row lists, eliminated in place, and its pivot columns."""
     if len(rhs) != m.rows:
         raise DimensionMismatch("rhs length must equal row count")
     c = m.cols
@@ -171,55 +172,38 @@ def augmented_ranks(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, int]:
         list(m.entries[i * c : (i + 1) * c]) + [int(rhs[i])]
         for i in range(m.rows)
     ]
-    pivots = _fraction_free_pivot_cols(a, m.rows, c + 1)
-    rank_aug = len(pivots)
-    rank_m = sum(1 for p in pivots if p < c)
-    return rank_m, rank_aug
+    return a, _fraction_free_pivot_cols(a, m.rows, c + 1)
+
+
+def augmented_ranks(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, int]:
+    """(rank of M, rank of [M | rhs]) from a single elimination: columns are
+    processed left to right, so pivots landing before the last column are
+    exactly the pivots of M alone."""
+    _, pivots = _eliminate_augmented(m, rhs)
+    return sum(1 for p in pivots if p < m.cols), len(pivots)
 
 
 def solve_particular(
     m: IntMatrix, rhs: Sequence[int]
 ) -> Optional[tuple[Fraction, ...]]:
     """One rational solution of M x = rhs with every free variable set to 0,
-    or None when inconsistent.  Same pivot rule as rank()."""
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("rhs length must equal row count")
-    ncols = m.cols
-    a = [
-        [Fraction(m.at(i, j)) for j in range(ncols)] + [Fraction(int(rhs[i]))]
-        for i in range(m.rows)
-    ]
-    nrows = len(a)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = -1
-        for i in range(r, nrows):
-            if a[i][c]:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        a[r] = [x / piv for x in a[r]]
-        row_r = a[r]
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], row_r)]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrows):
-        if a[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = a[row][ncols]
-    return tuple(x)
+    or None when inconsistent.  Same elimination and pivot rule as rank();
+    fixing the pivot columns makes this solution unique."""
+    a, pivots = _eliminate_augmented(m, rhs)
+    c = m.cols
+    if pivots and pivots[-1] == c:
+        return None
+    # The last pivot is the determinant of the pivot minor, so by Cramer
+    # y = den * x is integral and every division below is exact.
+    den = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * c
+    for r in range(len(pivots) - 1, -1, -1):
+        row = a[r]
+        acc = den * row[c]
+        for j in pivots[r + 1 :]:
+            acc -= row[j] * y[j]
+        y[pivots[r]] = acc // row[pivots[r]]
+    return tuple(Fraction(yi, den) for yi in y)
 
 
 def matrix_vector(m: IntMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -116,11 +116,34 @@ def apply_relation(g: Graph, x: MonoidVector, v: str) -> MonoidVector:
 
 
 def replay_trace(g: Graph, start: MonoidVector, trace: RewriteTrace) -> MonoidVector:
-    """Apply every step of the trace; raises if any step is illegal."""
-    x = start
+    """Apply every step of the trace; raises if any step is illegal, exactly
+    where folding apply_relation over the steps would."""
+    if not trace.steps:
+        return start
+    pos = g.index
+    # a vertex outside the graph stays in every state, so the first step
+    # that passes its own checks fails on it
+    stray = next((v for v, _ in start.items() if v not in pos), None)
+    state = [start.get(v) for v in g.vertices]
+    moves: dict[str, tuple[int, list[int]]] = {}
     for v in trace.steps:
-        x = apply_relation(g, x, v)
-    return x
+        move = moves.get(v)
+        if move is None:
+            if v not in pos:
+                raise UnknownVertex(v)
+            out = g.out_edges(v)
+            if not out:
+                raise NotRegular(v)
+            move = moves[v] = (pos[v], [pos[e.dst] for e in out])
+        vi, dsts = move
+        if state[vi] < 1:
+            raise InsufficientCoefficient(v)
+        if stray is not None:
+            raise UnknownVertex(stray)
+        state[vi] -= 1
+        for j in dsts:
+            state[j] += 1
+    return _to_vector(g, state)
 
 
 def _deltas(g: Graph) -> tuple[tuple[str, ...], list[tuple[int, ...]], list[int]]:
@@ -170,23 +193,32 @@ def execute_counts(
         if c:
             remaining[v] = c
     state = list(_to_state(g, start))
-    steps: list[str] = []
-    while remaining:
-        progressed = False
-        for v, delta, vi in zip(regular, deltas, idxs):
-            if remaining.get(v, 0) > 0 and state[vi] >= 1:
-                for i, d in enumerate(delta):
-                    if d:
+    # sparse effects of the counted vertices only
+    moves = [
+        (v, vi, [(i, d) for i, d in enumerate(delta) if d])
+        for v, delta, vi in zip(regular, deltas, idxs)
+        if v in remaining
+    ]
+
+    def sweeps():
+        # steps go straight into the trace tuple, never held twice
+        progressed = True
+        while remaining and progressed:
+            progressed = False
+            for v, vi, delta in moves:
+                if v in remaining and state[vi] >= 1:
+                    for i, d in delta:
                         state[i] += d
-                steps.append(v)
-                progressed = True
-                if remaining[v] == 1:
-                    del remaining[v]
-                else:
+                    yield v
+                    progressed = True
                     remaining[v] -= 1
-        if not progressed:
-            return None
-    return _to_vector(g, state), RewriteTrace(tuple(steps))
+                    if not remaining[v]:
+                        del remaining[v]
+
+    steps = tuple(sweeps())
+    if remaining:  # a full sweep made no progress
+        return None
+    return _to_vector(g, state), RewriteTrace(steps)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ verification is a pure replay, independent of how it was built.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .errors import (
     NotRegular,
     WitnessConstructionFailed,
 )
-from .exact_linalg import augmented_ranks, criterion_system, matrix_vector, solve_particular
+from .exact_linalg import augmented_ranks, criterion_system, solve_particular
 from .graph_core import Graph
 from .graph_monoid import (
     MonoidVector,
@@ -32,10 +31,6 @@ from .graph_monoid import (
     replay_trace,
     uniform_vector,
 )
-
-logger = logging.getLogger(__name__)
-
-SLACK_BOUND_FACTOR = 10  # slack loop tries t = 0 .. 10 * d * vertex count
 
 
 @dataclass(frozen=True)
@@ -89,50 +84,43 @@ def construct_witness(g: Graph, scale: int = 1) -> Witness:
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     system = criterion_system(g)
-    rank_m, rank_aug = augmented_ranks(system.matrix, system.rhs)
-    if rank_m < rank_aug:
-        raise NotApplicable("graph algebra has IBN; no witness exists")
     x = solve_particular(system.matrix, system.rhs)
-    assert x is not None  # ranks agree, so the system is consistent
-    assert matrix_vector(system.matrix, x) == tuple(
-        Fraction(r) for r in system.rhs
-    )
+    if x is None:
+        raise NotApplicable("graph algebra has IBN; no witness exists")
     z = system.z
     assert all(x[i] == 0 for i in range(z, len(x)))  # sinks are free, set 0
 
     d = scale * lcm(*(xi.denominator for xi in x[:z]))
     regular = system.order[:z]
     m_ints = [int(xi * d) for xi in x[:z]]
+    support = [(j, mj) for j, mj in enumerate(m_ints) if mj]
+    assert all(  # M (d x) == d * b, in integers
+        sum(row[j] * mj for j, mj in support) == d * r
+        for row, r in zip(system.matrix.row_lists(), system.rhs)
+    )
     m_vec = dict(zip(regular, m_ints))
     k = {v: max(-mi, 0) for v, mi in m_vec.items()}
     k_prime = {v: max(mi, 0) for v, mi in m_vec.items()}
 
-    h = len(g.vertices)
-    base = max(1, max(abs(mi) for mi in m_ints))
-    bound = SLACK_BOUND_FACTOR * d * h
-    for t in range(bound + 1):
-        n = base + t
-        m = n + d
-        got_m = execute_counts(g, uniform_vector(g, m), k)
-        got_n = execute_counts(g, uniform_vector(g, n), k_prime)
-        if got_m is not None and got_n is not None and got_m[0] == got_n[0]:
-            if t > 0:
-                logger.info(
-                    "witness construction needed slack t=%d (d=%d, h=%d)", t, d, h
-                )
-            return Witness(
-                m=m,
-                n=n,
-                d=d,
-                m_vec=m_vec,
-                k=k,
-                k_prime=k_prime,
-                sigma=got_m[1],
-                sigma_prime=got_n[1],
-                gamma=got_m[0],
-            )
-    raise WitnessConstructionFailed(
-        f"no slack t <= {bound} produced matching schedules (d={d}, h={h})"
+    # With n = max|m_v| every vertex starts with at least k_v (or k'_v)
+    # tokens and a firing lowers only its own coordinate, so neither
+    # round-robin sticks.  Column v of M is one firing at v, so the ends
+    # m*1 + M k and n*1 + M k' differ by d*1 - M m_vec = 0.
+    n = max(1, max(abs(mi) for mi in m_ints))
+    m = n + d
+    got_m = execute_counts(g, uniform_vector(g, m), k)
+    got_n = execute_counts(g, uniform_vector(g, n), k_prime)
+    assert got_m is not None and got_n is not None and got_m[0] == got_n[0]
+    return Witness(
+        m=m,
+        n=n,
+        d=d,
+        m_vec=m_vec,
+        k=k,
+        k_prime=k_prime,
+        sigma=got_m[1],
+        sigma_prime=got_n[1],
+        gamma=got_m[0],
     )
 
 
@@ -142,16 +130,14 @@ def verify_witness(g: Graph, w: Witness) -> bool:
     replay legally (coefficients never go negative) to the same element,
     which must be w.gamma."""
     names = g.index
-    for coll in (w.m_vec, w.k, w.k_prime):
-        for v in coll:
+    for where, vs in (
+        ("", chain(w.m_vec, w.k, w.k_prime)),
+        (" in trace", chain(w.sigma.steps, w.sigma_prime.steps)),  # no copy
+        (" in gamma", w.gamma.to_dict()),
+    ):
+        for v in vs:
             if v not in names:
-                raise MalformedWitness(f"unknown vertex {v}")
-    for v in (*w.sigma.steps, *w.sigma_prime.steps):
-        if v not in names:
-            raise MalformedWitness(f"unknown vertex {v} in trace")
-    for v, _ in w.gamma.items():
-        if v not in names:
-            raise MalformedWitness(f"unknown vertex {v} in gamma")
+                raise MalformedWitness(f"unknown vertex {v}{where}")
     if w.n < 1 or w.m <= w.n:
         return False
     try:

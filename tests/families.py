@@ -2,7 +2,8 @@
 
 The oracles here deliberately use different algorithms than the package
 (boolean-closure reachability, edge-tuple cycle scans, forward-only
-rational elimination) so agreement actually cross-checks something.
+rational elimination, rational reduced row-echelon solves) so agreement
+actually cross-checks something.
 """
 
 from __future__ import annotations
@@ -221,3 +222,34 @@ def rational_elimination_rank(rows) -> int:
                 a[i] = [x - factor * y for x, y in zip(a[i], lead)]
         r += 1
     return r
+
+
+def rational_particular_solution(rows, rhs):
+    """Reduced row-echelon form of [M | rhs] over Fraction, pivots chosen
+    as first nonzero by column then row; the solution with every free
+    variable 0, or None when inconsistent.  Independent of the package's
+    fraction-free integer route."""
+    ncols = len(rows[0]) if rows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], lead)]
+        pivots.append((r, c))
+        r += 1
+    if any(a[i][ncols] for i in range(r, len(a))):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in pivots:
+        x[col] = a[row][ncols]
+    return tuple(x)

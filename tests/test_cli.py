@@ -300,6 +300,17 @@ def test_json_outputs_are_valid_json_on_all_fixtures(capsys):
             json.loads(out)
 
 
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(_g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("leavitt_ibn.cli.decide_ibn", broken)
+    code, out, err = run(capsys, "decide", fx("ex26.gtf"))
+    assert code == EX_INTERNAL
+    assert err == "internal error: RuntimeError: boom\n"
+    assert out == ""
+
+
 # ── batch ────────────────────────────────────────────────────────────
 
 
@@ -336,3 +347,4 @@ def test_batch_fails_fast_on_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "batch", str(d), "--report", str(report))
     assert code == EX_PARSE
     assert not report.exists()
+

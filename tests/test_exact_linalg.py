@@ -175,3 +175,40 @@ def test_solve_particular_recheck_on_random_consistent_systems():
         x = solve_particular(m, [int(r) for r in rhs])
         assert x is not None
         assert matrix_vector(m, x) == rhs
+
+
+def _rank_deficient_rows(rng):
+    # every row a small combination of fewer base rows
+    cols = rng.randint(1, 6)
+    base = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(1, 4))]
+    rows = []
+    for _ in range(rng.randint(len(base) + 1, 7)):
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)])
+    return rows
+
+
+def test_solve_particular_matches_rational_rref_on_rank_deficient_systems():
+    rng = random.Random(families.RANDOM_MATRIX_SEED + 34)
+    outcomes = set()
+    for _ in range(400):
+        rows = _rank_deficient_rows(rng)
+        m = IntMatrix.from_rows(rows)
+        if rng.random() < 0.5:
+            planted = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.cols)]
+            rhs = [int(r * 6) for r in matrix_vector(m, planted)]
+        else:
+            rhs = [rng.randint(-3, 3) for _ in range(m.rows)]
+        want = families.rational_particular_solution(rows, rhs)
+        assert solve_particular(m, rhs) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}  # both consistent and inconsistent seen
+
+
+def test_solve_particular_matches_rational_rref_on_criterion_systems():
+    for g in families.all_graphs(3, 2):
+        system = criterion_system(g)
+        want = families.rational_particular_solution(
+            system.matrix.row_lists(), system.rhs
+        )
+        assert solve_particular(system.matrix, system.rhs) == want

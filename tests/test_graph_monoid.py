@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from leavitt_ibn import (
 )
 from leavitt_ibn.errors import (
     EmptyGraph,
+    GraphAlgebraError,
     InsufficientCoefficient,
     NotRegular,
     UnknownVertex,
@@ -68,6 +71,63 @@ def test_replay_trace(ex26):
     end = replay_trace(ex26, start, RewriteTrace(("v1", "v2")))
     assert end == MonoidVector({"v1": 2, "v2": 2, "v3": 2})
     assert replay_trace(ex26, start, RewriteTrace(())) == start
+
+
+def _outcome(fn):
+    """The result, or the type and message of the package error raised."""
+    try:
+        return fn()
+    except GraphAlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def _folded(g, start, steps):
+    x = start
+    for v in steps:
+        x = apply_relation(g, x, v)
+    return x
+
+
+def test_replay_trace_errors_match_folded_apply_relation(ex26):
+    cases = [
+        (uniform_vector(ex26, 1), ("v1", "nope")),  # unknown vertex
+        (uniform_vector(ex26, 1), ("v2", "v3")),  # sink
+        (MonoidVector({"v2": 1}), ("v2", "v1")),  # zero coefficient
+        (MonoidVector({"ghost": 1, "v1": 1}), ("v1",)),  # unknown support
+        (MonoidVector({"ghost": 1}), ("v3",)),  # sink beats unknown support
+        (MonoidVector({"ghost": 1}), ("v1",)),  # so does a zero coefficient
+        (MonoidVector({"ghost": 1}), ()),  # no step, nothing checked
+    ]
+    want_types = [
+        UnknownVertex,
+        NotRegular,
+        InsufficientCoefficient,
+        UnknownVertex,
+        NotRegular,
+        InsufficientCoefficient,
+        MonoidVector,
+    ]
+    for (start, steps), want in zip(cases, want_types):
+        got = _outcome(lambda: replay_trace(ex26, start, RewriteTrace(steps)))
+        assert got == _outcome(lambda: _folded(ex26, start, steps))
+        assert (got[0] if isinstance(got, tuple) else type(got)) is want
+
+
+def test_replay_trace_matches_folded_apply_relation_on_random_traces():
+    rng = random.Random(families.RANDOM_GRAPH_SEED + 7)
+    seen = set()
+    for g in families.random_graphs(300, seed=families.RANDOM_GRAPH_SEED + 8):
+        names = list(g.vertices) + ["ghost"]
+        support = names if rng.random() < 0.1 else list(g.vertices)
+        start = MonoidVector({v: rng.randint(0, 3) for v in support})
+        steps = tuple(
+            rng.choice(names) if rng.random() < 0.05 else rng.choice(g.vertices)
+            for _ in range(rng.randint(0, 12))
+        )
+        got = _outcome(lambda: replay_trace(g, start, RewriteTrace(steps)))
+        assert got == _outcome(lambda: _folded(g, start, steps))
+        seen.add(got[0] if isinstance(got, tuple) else MonoidVector)
+    assert seen == {MonoidVector, UnknownVertex, NotRegular, InsufficientCoefficient}
 
 
 # ── greedy schedules ─────────────────────────────────────────────────
