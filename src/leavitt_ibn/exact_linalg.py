@@ -2,9 +2,11 @@
 
 One elimination route: rank, augmented ranks and the particular solution
 all run the same fraction-free integer elimination (one-step
-division-exact updates) with the same pivot rule.  The particular
-solution is back-substituted in integers over one common denominator.
-Tests cross-check both against independent rational eliminations.
+division-exact updates) with the same pivot rule, and solve_augmented
+returns both ranks and the solution from one elimination of [M | rhs].
+The particular solution is back-substituted in integers over one common
+denominator.  Tests cross-check both against independent rational
+eliminations.
 """
 
 from __future__ import annotations
@@ -175,10 +177,39 @@ def _eliminate_augmented(
     return a, _fraction_free_pivot_cols(a, m.rows, c + 1)
 
 
+class AugmentedSolve(NamedTuple):
+    rank_m: int
+    rank_aug: int
+    solution: Optional[tuple[Fraction, ...]]  # None when inconsistent
+
+
+def solve_augmented(m: IntMatrix, rhs: Sequence[int]) -> AugmentedSolve:
+    """rank M, rank [M | rhs] and one rational solution of M x = rhs (every
+    free variable 0; None when inconsistent), all from a single
+    elimination of [M | rhs].  Columns are processed left to right, so
+    the pivots before the last column are exactly the pivots of M alone,
+    and fixing the pivot columns makes the solution unique."""
+    a, pivots = _eliminate_augmented(m, rhs)
+    c = m.cols
+    r = len(pivots)
+    if pivots and pivots[-1] == c:
+        return AugmentedSolve(r - 1, r, None)
+    # The last pivot is the determinant of the pivot minor, so by Cramer
+    # y = den * x is integral and every division below is exact.
+    den = a[r - 1][pivots[-1]] if pivots else 1
+    y = [0] * c
+    for i in range(r - 1, -1, -1):
+        row = a[i]
+        acc = den * row[c]
+        for j in pivots[i + 1 :]:
+            acc -= row[j] * y[j]
+        y[pivots[i]] = acc // row[pivots[i]]
+    return AugmentedSolve(r, r, tuple(Fraction(yi, den) for yi in y))
+
+
 def augmented_ranks(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, int]:
-    """(rank of M, rank of [M | rhs]) from a single elimination: columns are
-    processed left to right, so pivots landing before the last column are
-    exactly the pivots of M alone."""
+    """(rank of M, rank of [M | rhs]): the ranks of solve_augmented without
+    the back-substitution, which rank-only callers would discard."""
     _, pivots = _eliminate_augmented(m, rhs)
     return sum(1 for p in pivots if p < m.cols), len(pivots)
 
@@ -186,24 +217,8 @@ def augmented_ranks(m: IntMatrix, rhs: Sequence[int]) -> tuple[int, int]:
 def solve_particular(
     m: IntMatrix, rhs: Sequence[int]
 ) -> Optional[tuple[Fraction, ...]]:
-    """One rational solution of M x = rhs with every free variable set to 0,
-    or None when inconsistent.  Same elimination and pivot rule as rank();
-    fixing the pivot columns makes this solution unique."""
-    a, pivots = _eliminate_augmented(m, rhs)
-    c = m.cols
-    if pivots and pivots[-1] == c:
-        return None
-    # The last pivot is the determinant of the pivot minor, so by Cramer
-    # y = den * x is integral and every division below is exact.
-    den = a[len(pivots) - 1][pivots[-1]] if pivots else 1
-    y = [0] * c
-    for r in range(len(pivots) - 1, -1, -1):
-        row = a[r]
-        acc = den * row[c]
-        for j in pivots[r + 1 :]:
-            acc -= row[j] * y[j]
-        y[pivots[r]] = acc // row[pivots[r]]
-    return tuple(Fraction(yi, den) for yi in y)
+    """The particular solution of solve_augmented, or None when inconsistent."""
+    return solve_augmented(m, rhs).solution
 
 
 def matrix_vector(m: IntMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:

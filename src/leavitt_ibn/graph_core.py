@@ -226,29 +226,37 @@ Cycle = tuple[str, ...]  # edge ids, consecutive ranges matching sources
 def enumerate_simple_cycles(g: Graph) -> tuple[Cycle, ...]:
     """All cycles (closed paths revisiting no vertex), each reported once,
     rotated to start at its smallest-index vertex.  Parallel edges give
-    distinct cycles.  DFS anchored at each start vertex in turn, visiting
-    only vertices of index >= the anchor, so each cycle appears exactly
-    once in canonical rotation."""
+    distinct cycles.  Depth-first search anchored at each start vertex in
+    turn, visiting only vertices of index >= the anchor, so each cycle
+    appears exactly once in canonical rotation.  The search keeps an
+    explicit stack of out-edge iterators, so long paths never recurse, and
+    skips an anchor that no in-edge from index >= its own can close."""
     cycles: list[Cycle] = []
     index = g.index
     for start in g.vertices:
         start_idx = index[start]
+        if all(index[e.src] < start_idx for e in g.in_edges(start)):
+            continue
         path_edges: list[str] = []
+        path_vertices: list[str] = []
         on_path = {start}
-
-        def dfs(u: str):
-            for e in g.out_edges(u):
+        stack = [iter(g.out_edges(start))]
+        while stack:
+            for e in stack[-1]:
                 w = e.dst
                 if w == start:
                     cycles.append(tuple(path_edges) + (e.id,))
                 elif index[w] > start_idx and w not in on_path:
                     on_path.add(w)
                     path_edges.append(e.id)
-                    dfs(w)
+                    path_vertices.append(w)
+                    stack.append(iter(g.out_edges(w)))
+                    break
+            else:
+                stack.pop()
+                if path_vertices:
+                    on_path.remove(path_vertices.pop())
                     path_edges.pop()
-                    on_path.remove(w)
-
-        dfs(start)
     return tuple(cycles)
 
 

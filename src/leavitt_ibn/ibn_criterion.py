@@ -11,6 +11,7 @@ verification is a pure replay, independent of how it was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from math import lcm
 from typing import Optional
@@ -22,7 +23,13 @@ from .errors import (
     NotRegular,
     WitnessConstructionFailed,
 )
-from .exact_linalg import augmented_ranks, criterion_system, solve_particular
+from .exact_linalg import (
+    CriterionSystem,
+    augmented_ranks,
+    criterion_system,
+    solve_augmented,
+    solve_particular,
+)
 from .graph_core import Graph
 from .graph_monoid import (
     MonoidVector,
@@ -65,12 +72,14 @@ def ibn_ranks(g: Graph) -> tuple[int, int]:
 
 def decide_ibn(g: Graph, with_witness: bool = True) -> IbnVerdict:
     """Decide IBN; on a negative verdict also construct and replay-verify a
-    witness (unless with_witness is False)."""
-    rank_m, rank_aug = ibn_ranks(g)
-    has_ibn = rank_m < rank_aug
+    witness (unless with_witness is False).  The ranks and the particular
+    solution behind the witness come from one elimination."""
+    system = criterion_system(g)
+    rank_m, rank_aug, x = solve_augmented(system.matrix, system.rhs)
+    has_ibn = x is None
     witness = None
     if not has_ibn and with_witness:
-        witness = construct_witness(g)
+        witness = _witness_from_solution(g, system, x, 1)
         if not verify_witness(g, witness):
             raise WitnessConstructionFailed(
                 "constructed witness failed replay verification"
@@ -87,6 +96,14 @@ def construct_witness(g: Graph, scale: int = 1) -> Witness:
     x = solve_particular(system.matrix, system.rhs)
     if x is None:
         raise NotApplicable("graph algebra has IBN; no witness exists")
+    return _witness_from_solution(g, system, x, scale)
+
+
+def _witness_from_solution(
+    g: Graph, system: CriterionSystem, x: tuple[Fraction, ...], scale: int
+) -> Witness:
+    """The witness of the particular solution x of the criterion system,
+    scaled by scale."""
     z = system.z
     assert all(x[i] == 0 for i in range(z, len(x)))  # sinks are free, set 0
 

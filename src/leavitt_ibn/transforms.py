@@ -8,6 +8,7 @@ DuplicateVertex/DuplicateEdge rather than silently renaming.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -63,35 +64,49 @@ class EliminationReport:
 def source_free_form(g: Graph) -> EliminationReport:
     """Eliminate sources until none remain, smallest canonical index first.
     A single leftover vertex is kept (never an empty graph).  By confluence
-    the surviving vertex set does not depend on the elimination order."""
+    the surviving vertex set does not depend on the elimination order.
+
+    Kahn-style peel over in-degree counters, with one build_graph at the
+    end.  Eliminating a source deletes only its own out-edges, so no
+    survivor's out-degree changes and the survivors keep their relative
+    canonical order: the next source is a heap pop by canonical index of
+    the input.  A vertex becomes isolated exactly when a sink's in-degree
+    reaches 0; the report keeps the first one (smallest vertex index) and
+    the stage at which it appeared."""
     if not g.vertices:
         raise EmptyGraph("source-free form needs at least one vertex")
-    current = g
+    order, _ = canonical_order(g)
+    rank = {v: i for i, v in enumerate(order)}
+    in_degree = {v: g.in_degree(v) for v in g.vertices}
+    first_isolated: Optional[tuple[str, int]] = next(
+        ((v, 0) for v in g.vertices if not in_degree[v] and not g.out_degree(v)),
+        None,
+    )
+    heap = [rank[v] for v in order if not in_degree[v]]  # sorted, so a heap
     eliminated: list[str] = []
-    isolated_seen = False
-    first_isolated: Optional[tuple[str, int]] = None
-    stage = 0
-    while True:
-        if first_isolated is None:
-            iso = next(
-                (
-                    v
-                    for v in current.vertices
-                    if current.in_degree(v) == 0 and current.out_degree(v) == 0
-                ),
-                None,
-            )
-            if iso is not None:
-                isolated_seen = True
-                first_isolated = (iso, stage)
-        order, _ = canonical_order(current)
-        pick = next((v for v in order if current.in_degree(v) == 0), None)
-        if pick is None or len(current.vertices) == 1:
-            break
-        current = source_eliminate(current, pick)
-        eliminated.append(pick)
-        stage += 1
-    return EliminationReport(current, tuple(eliminated), isolated_seen, first_isolated)
+    while heap and len(eliminated) < len(order) - 1:  # never empty the graph
+        v = order[heapq.heappop(heap)]
+        eliminated.append(v)
+        fresh_sinks = []
+        for e in g.out_edges(v):
+            w = e.dst
+            in_degree[w] -= 1
+            if not in_degree[w]:
+                heapq.heappush(heap, rank[w])
+                if not g.out_degree(w):
+                    fresh_sinks.append(w)
+        if first_isolated is None and fresh_sinks:
+            first_isolated = (min(fresh_sinks, key=g.index.__getitem__), len(eliminated))
+    gone = set(eliminated)
+    result = g
+    if gone:
+        result = build_graph(
+            tuple(v for v in g.vertices if v not in gone),
+            tuple((e.id, e.src, e.dst) for e in g.edges if e.src not in gone),
+        )
+    return EliminationReport(
+        result, tuple(eliminated), first_isolated is not None, first_isolated
+    )
 
 
 def cohn_cover(g: Graph) -> Graph:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately use different algorithms than the package
 (boolean-closure reachability, edge-tuple cycle scans, forward-only
-rational elimination, rational reduced row-echelon solves) so agreement
-actually cross-checks something.
+rational elimination, rational reduced row-echelon solves, recursive
+cycle search, one rebuild per source elimination) so agreement actually
+cross-checks something.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from leavitt_ibn import Graph, build_graph
+from leavitt_ibn import Graph, build_graph, canonical_order, source_eliminate
 
 RANDOM_GRAPH_SEED = 0x1BA5E5
 RANDOM_MATRIX_SEED = 0x5E1ECF
@@ -77,6 +78,12 @@ def a_path(n: int) -> Graph:
     return build_graph(vs, es)
 
 
+def a_cycle(n: int) -> Graph:
+    """Directed cycle v0 -> v1 -> ... -> v(n-1) -> v0 with edges e0..e(n-1)."""
+    vs = [f"v{i}" for i in range(n)]
+    return build_graph(vs, [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)])
+
+
 def ex33() -> Graph:
     # loop with one exit into a sink
     return build_graph(["v0", "v"], [("e0", "v0", "v0"), ("e", "v0", "v")])
@@ -126,6 +133,49 @@ def random_graphs(count: int, seed: int = RANDOM_GRAPH_SEED, **kw):
     rng = random.Random(seed)
     for _ in range(count):
         yield random_graph(rng, **kw)
+
+
+def source_free_graph(rng: random.Random, h: int, extra: int) -> Graph:
+    """h vertices, each with one in-edge from a random vertex, plus up to
+    `extra` more random edges; no vertex is a source."""
+    vs = [f"s{i}" for i in range(h)]
+    rng.shuffle(vs)
+    pairs = [(rng.choice(vs), v) for v in vs]
+    pairs += [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, extra))]
+    rng.shuffle(pairs)
+    return build_graph(vs, [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)])
+
+
+def in_forest_graph(rng: random.Random, h: int) -> Graph:
+    """A core of 1..4 vertices with 1..2 out-edges each inside the core,
+    fed by a forest: every other vertex emits one edge to an earlier
+    vertex.  Vertex names and edge order are shuffled."""
+    vs = [f"t{i}" for i in range(h)]
+    core = rng.randint(1, min(4, h))
+    pairs = []
+    for i, v in enumerate(vs):
+        if i < core:
+            pairs += [(v, vs[rng.randrange(core)]) for _ in range(rng.randint(1, 2))]
+        else:
+            pairs.append((v, vs[rng.randrange(i)]))
+    rng.shuffle(pairs)
+    order = vs[:]
+    rng.shuffle(order)
+    return build_graph(order, [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)])
+
+
+def peel_parity_graphs():
+    """The corpus on which the linear source-free form and source-cycle
+    finder are compared with their rebuild and enumeration oracles: every
+    graph with <= 3 vertices, 500 random graphs, and 150 source-free and
+    150 in-forest graphs with h <= 40."""
+    yield from all_graphs(max_vertices=3, max_parallel=2)
+    yield from random_graphs(500, seed=RANDOM_GRAPH_SEED + 40, max_vertices=8, max_edges=12)
+    rng = random.Random(RANDOM_GRAPH_SEED + 41)
+    for _ in range(150):
+        h = rng.randint(2, 40)
+        yield source_free_graph(rng, h, h // 8)
+        yield in_forest_graph(rng, rng.randint(2, 40))
 
 
 def random_int_matrix(rng: random.Random, max_dim: int = 8, lo: int = -5, hi: int = 5):
@@ -253,3 +303,68 @@ def rational_particular_solution(rows, rhs):
     for row, col in pivots:
         x[col] = a[row][ncols]
     return tuple(x)
+
+
+def rebuilt_source_free_form(g: Graph):
+    """(result, eliminated, isolated_seen, first_isolated) by rebuilding
+    the graph after every source elimination and recomputing the
+    canonical order and the isolated vertices each time."""
+    current = g
+    eliminated: list[str] = []
+    first_isolated = None
+    stage = 0
+    while True:
+        if first_isolated is None:
+            iso = next(
+                (
+                    v
+                    for v in current.vertices
+                    if current.in_degree(v) == 0 and current.out_degree(v) == 0
+                ),
+                None,
+            )
+            if iso is not None:
+                first_isolated = (iso, stage)
+        order, _ = canonical_order(current)
+        pick = next((v for v in order if current.in_degree(v) == 0), None)
+        if pick is None or len(current.vertices) == 1:
+            break
+        current = source_eliminate(current, pick)
+        eliminated.append(pick)
+        stage += 1
+    return current, tuple(eliminated), first_isolated is not None, first_isolated
+
+
+def recursive_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
+    """Every simple cycle in the package's order: recursive search
+    anchored at each vertex in turn over vertices of larger index."""
+    cycles = []
+    index = g.index
+    for start in g.vertices:
+        path: list[str] = []
+        on_path = {start}
+
+        def dfs(u):
+            for e in g.out_edges(u):
+                w = e.dst
+                if w == start:
+                    cycles.append(tuple(path) + (e.id,))
+                elif index[w] > index[start] and w not in on_path:
+                    on_path.add(w)
+                    path.append(e.id)
+                    dfs(w)
+                    path.pop()
+                    on_path.remove(w)
+
+        dfs(start)
+    return cycles
+
+
+def enumerated_first_source_cycle(g: Graph):
+    """The first cycle of recursive_simple_cycles whose vertices all have
+    in-degree exactly 1, or None."""
+    src = {e.id: e.src for e in g.edges}
+    for cycle in recursive_simple_cycles(g):
+        if all(g.in_degree(src[eid]) == 1 for eid in cycle):
+            return cycle
+    return None

@@ -7,6 +7,7 @@ from leavitt_ibn import (
     RULE_DISJOINT_CYCLES,
     RULE_ISOLATED_VERTEX,
     RULE_SOURCE_CYCLE,
+    SufficiencyResult,
     build_graph,
     classify_sufficient,
     cycle_properties,
@@ -80,6 +81,29 @@ def test_classifier_is_not_necessary(f29):
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraph):
         classify_sufficient(build_graph([], []))
+
+
+def _enumerated_classification(g):
+    # oracle: a rebuild loop for the source-free form and a scan of every
+    # simple cycle
+    sf, _, isolated_seen, first_isolated = families.rebuilt_source_free_form(g)
+    if isolated_seen:
+        v, stage = first_isolated
+        return SufficiencyResult(
+            RULE_ISOLATED_VERTEX, isolated_vertex=v, elimination_stage=stage
+        )
+    cycle = families.enumerated_first_source_cycle(sf)
+    if cycle is not None:
+        return SufficiencyResult(RULE_SOURCE_CYCLE, source_cycle=cycle)
+    if cycles_pairwise_disjoint(g):
+        cycles = tuple(families.recursive_simple_cycles(g))
+        return SufficiencyResult(RULE_DISJOINT_CYCLES, cycles=cycles)
+    return SufficiencyResult(None)
+
+
+def test_classify_matches_enumeration_oracle():
+    for g in families.peel_parity_graphs():
+        assert classify_sufficient(g) == _enumerated_classification(g)
 
 
 # ── pairwise-disjoint cycles ─────────────────────────────────────────

@@ -247,6 +247,18 @@ def test_classify_text_source_cycle(capsys):
     assert out == "rule: source-cycle\n  source_cycle: ['e0']\n"
 
 
+def test_classify_json_on_long_cycle(capsys, tmp_path):
+    h = 3000
+    p = tmp_path / "cycle.gtf"
+    p.write_text(serialize_graph(families.a_cycle(h)), encoding="utf-8")
+    code, out, _ = run(capsys, "classify", str(p), "--json")
+    assert code == EX_OK
+    assert json.loads(out) == {
+        "rule": "source-cycle",
+        "evidence": {"source_cycle": [f"e{i}" for i in range(h)]},
+    }
+
+
 # ── failure modes ────────────────────────────────────────────────────
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -171,6 +173,23 @@ def test_cycles_match_brute_force_random():
         150, seed=families.RANDOM_GRAPH_SEED + 1, max_vertices=4, max_edges=10
     ):
         assert set(enumerate_simple_cycles(g)) == families.brute_cycles(g)
+
+
+def test_cycles_order_matches_recursive_search():
+    graphs = itertools.chain(
+        families.all_graphs(max_vertices=3, max_parallel=1),
+        families.random_graphs(
+            200, seed=families.RANDOM_GRAPH_SEED + 42, max_vertices=6, max_edges=12
+        ),
+    )
+    for g in graphs:
+        assert list(enumerate_simple_cycles(g)) == families.recursive_simple_cycles(g)
+
+
+def test_cycles_on_long_cycle_do_not_recurse():
+    h = 3000
+    g = families.a_cycle(h)
+    assert enumerate_simple_cycles(g) == (tuple(f"e{i}" for i in range(h)),)
 
 
 def test_cycle_properties_fixture(ex26):

@@ -148,6 +148,35 @@ def test_verify_raises_on_unknown_vertices(ex26):
         verify_witness(families.rose(2), w)
 
 
+# ── one elimination per decision ─────────────────────────────────────
+
+
+@pytest.mark.parametrize("name", ["f29", "ex26", "e29"])
+def test_decide_eliminates_once(name, monkeypatch):
+    import leavitt_ibn.exact_linalg as exact_linalg
+
+    original = exact_linalg._fraction_free_pivot_cols
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(exact_linalg, "_fraction_free_pivot_cols", counting)
+    decide_ibn(getattr(families, name)())
+    assert len(calls) == 1
+
+
+def test_decide_witness_is_construct_witness():
+    count = 0
+    for g in families.all_graphs(max_vertices=2, max_parallel=2):
+        v = decide_ibn(g)
+        if not v.has_ibn:
+            assert v.witness == construct_witness(g)
+            count += 1
+    assert count > 0
+
+
 # ── properties over graph families ───────────────────────────────────
 
 

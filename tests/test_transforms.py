@@ -116,6 +116,30 @@ def test_source_free_form_order_confluence():
                 assert set(got.vertices) == set(expected.vertices)
 
 
+def test_source_free_form_matches_rebuild_oracle():
+    for g in families.peel_parity_graphs():
+        rep = source_free_form(g)
+        got = (rep.result, rep.eliminated, rep.isolated_seen, rep.first_isolated)
+        assert got == families.rebuilt_source_free_form(g)
+
+
+def test_source_free_form_builds_one_graph(monkeypatch):
+    import leavitt_ibn.transforms as transforms
+
+    calls = []
+
+    def counting_build_graph(*args):
+        calls.append(1)
+        return build_graph(*args)
+
+    monkeypatch.setattr(transforms, "build_graph", counting_build_graph)
+    rep = source_free_form(families.a_path(3000))
+    assert rep.result.vertices == ("v3000",)
+    assert len(rep.eliminated) == 2999
+    assert rep.first_isolated == ("v3000", 2999)
+    assert len(calls) == 1
+
+
 # ── the sink-copy cover ──────────────────────────────────────────────
 
 
