@@ -8,12 +8,10 @@ toolbox.  See docs/formats.md for the GTF text format and the JSON shapes.
 
 from . import errors
 from .classifiers import (
-    RULE_DISJOINT_CYCLES,
     RULE_ISOLATED_VERTEX,
     RULE_SOURCE_CYCLE,
     SufficiencyResult,
     classify_sufficient,
-    cycles_pairwise_disjoint,
 )
 from .exact_linalg import (
     CriterionSystem,
@@ -127,10 +125,8 @@ __all__ = [
     "source_free_equivalent",
     "SufficiencyResult",
     "classify_sufficient",
-    "cycles_pairwise_disjoint",
     "RULE_ISOLATED_VERTEX",
     "RULE_SOURCE_CYCLE",
-    "RULE_DISJOINT_CYCLES",
     "parse_gtf",
     "serialize_graph",
 ]

@@ -9,6 +9,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,6 +243,7 @@ def cmd_batch(args) -> int:
     return EX_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="leavitt-ibn",

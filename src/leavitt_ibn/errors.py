@@ -102,6 +102,11 @@ class ComplementHasCycle(GraphAlgebraError):
     """Collapse target's complement must be acyclic (keeps F(H) finite)."""
 
 
+class CollapseTooLarge(GraphAlgebraError):
+    """Collapse would build more path edge ids than
+    transforms.MAX_COLLAPSE_PATH_IDS."""
+
+
 # ── text formats ─────────────────────────────────────────────────────
 
 

@@ -152,17 +152,6 @@ def rank(m: IntMatrix) -> int:
     return len(_fraction_free_pivot_cols(m.row_lists(), m.rows, m.cols))
 
 
-def augment(m: IntMatrix, rhs: Sequence[int]) -> IntMatrix:
-    if len(rhs) != m.rows:
-        raise DimensionMismatch("rhs length must equal row count")
-    c = m.cols
-    entries = []
-    for i in range(m.rows):
-        entries.extend(m.entries[i * c : (i + 1) * c])
-        entries.append(int(rhs[i]))
-    return IntMatrix(m.rows, c + 1, tuple(entries))
-
-
 def _eliminate_augmented(
     m: IntMatrix, rhs: Sequence[int]
 ) -> tuple[list[list[int]], list[int]]:

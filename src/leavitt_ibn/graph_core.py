@@ -39,8 +39,6 @@ class Graph:
         "index",
         "_out",
         "_in",
-        "_out_degree",
-        "_in_degree",
     )
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...], index: dict):
@@ -49,8 +47,6 @@ class Graph:
         self.index = index
         self._out = None
         self._in = None
-        self._out_degree = None
-        self._in_degree = None
 
     # adjacency maps are built lazily; many transformed graphs only ever
     # need the edge list and the vertex index
@@ -62,8 +58,6 @@ class Graph:
             inc[e.dst].append(e)
         self._out = {v: tuple(es) for v, es in out.items()}
         self._in = {v: tuple(es) for v, es in inc.items()}
-        self._out_degree = {v: len(es) for v, es in out.items()}
-        self._in_degree = {v: len(es) for v, es in inc.items()}
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         if self._out is None:
@@ -162,11 +156,6 @@ def vertex_roles(g: Graph) -> dict[str, VertexRole]:
 def regular_vertices(g: Graph) -> tuple[str, ...]:
     out = set(e.src for e in g.edges)
     return tuple(v for v in g.vertices if v in out)
-
-
-def sources(g: Graph) -> tuple[str, ...]:
-    inc = set(e.dst for e in g.edges)
-    return tuple(v for v in g.vertices if v not in inc)
 
 
 def reaches(g: Graph, v: str, w: str) -> bool:

@@ -49,8 +49,6 @@ def classify_json(r: SufficiencyResult) -> dict:
         evidence["elimination_stage"] = r.elimination_stage
     if r.source_cycle is not None:
         evidence["source_cycle"] = list(r.source_cycle)
-    if r.cycles is not None:
-        evidence["cycles"] = [list(c) for c in r.cycles]
     return {"rule": r.rule, "evidence": evidence}
 
 

@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 from .errors import (
     BadCount,
+    CollapseTooLarge,
     ComplementHasCycle,
     EmptyGraph,
     NotHereditary,
@@ -165,58 +166,81 @@ def subdivide_edge(g: Graph, e0_id: str, n: int) -> Graph:
     return build_graph(tuple(g.vertices) + tuple(names), edges)
 
 
+# Most edge ids, summed over all crossing paths, that hereditary_collapse
+# builds; it bounds both the fresh sources and the length of their names.
+# The path count can be exponential in the input (each diamond on a chain
+# doubles it), so the paths are counted before any is built.  A 2000-vertex
+# chain needs 2 001 000 ids; a chain of 16 diamonds needs about 8 million.
+MAX_COLLAPSE_PATH_IDS = 4_000_000
+
+
 def _crossing_paths(g: Graph, hset: set[str]) -> list[tuple[str, ...]]:
-    """All edge paths that stay outside hset until a final crossing edge.
-    Requires the outside part (edges with range outside hset) acyclic, so
-    the list is finite."""
+    """All edge paths that stay outside hset until a final crossing edge:
+    for each crossing edge in edge order, the complement paths into its
+    source in preorder (the empty path, then the paths through each
+    in-edge in edge order).  Requires the outside part (edges with range
+    outside hset) acyclic, so the list is finite, and refuses with
+    CollapseTooLarge above MAX_COLLAPSE_PATH_IDS.  Both walks keep explicit
+    stacks, so long chains never recurse."""
     comp_in: dict[str, list] = {v: [] for v in g.vertices if v not in hset}
     for e in g.edges:
         if e.dst not in hset:
             comp_in[e.dst].append(e)
 
-    # cycle check on the complement by depth-first coloring
+    # depth-first colouring along in-edges finds a cycle in the complement;
+    # its post-order counts the complement paths into each vertex (the
+    # empty one included) and their total length in edges
     color: dict[str, int] = {}
+    count: dict[str, int] = {}
+    length: dict[str, int] = {}
+    for root in comp_in:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(comp_in[root]))]
+        while stack:
+            u, it = stack[-1]
+            for e in it:
+                w = e.src
+                c = color.get(w, 0)
+                if c == 1:
+                    raise ComplementHasCycle(
+                        f"complement of the hereditary set contains a cycle through {w}"
+                    )
+                if c == 0:
+                    color[w] = 1
+                    stack.append((w, iter(comp_in[w])))
+                    break
+            else:
+                stack.pop()
+                color[u] = 2
+                count[u] = 1 + sum(count[e.src] for e in comp_in[u])
+                length[u] = sum(length[e.src] + count[e.src] for e in comp_in[u])
 
-    def visit(u: str):
-        color[u] = 1
-        for e in comp_in[u]:
-            w = e.src
-            c = color.get(w, 0)
-            if c == 1:
-                raise ComplementHasCycle(
-                    f"complement of the hereditary set contains a cycle through {w}"
-                )
-            if c == 0:
-                visit(w)
-        color[u] = 2
-
-    for u in comp_in:
-        if color.get(u, 0) == 0:
-            visit(u)
-
-    prefix_cache: dict[str, list[tuple[str, ...]]] = {}
-
-    def prefixes(u: str) -> list[tuple[str, ...]]:
-        # complement paths ending at u, shortest first, in edge order
-        got = prefix_cache.get(u)
-        if got is None:
-            got = [()]
-            for e in comp_in[u]:
-                got.extend(p + (e.id,) for p in prefixes(e.src))
-            prefix_cache[u] = got
-        return got
+    crossing = [e for e in g.edges if e.src not in hset and e.dst in hset]
+    total = sum(length[e.src] + count[e.src] for e in crossing)
+    if total > MAX_COLLAPSE_PATH_IDS:
+        raise CollapseTooLarge(
+            f"collapse would build {sum(count[e.src] for e in crossing)} paths "
+            f"with {total} edge ids, above the cap of {MAX_COLLAPSE_PATH_IDS}"
+        )
 
     paths: list[tuple[str, ...]] = []
-    for e in g.edges:
-        if e.src not in hset and e.dst in hset:
-            paths.extend(p + (e.id,) for p in prefixes(e.src))
+    for e in crossing:
+        stack = [(e.src, (e.id,))]
+        while stack:
+            u, path = stack.pop()
+            paths.append(path)
+            stack.extend((f.src, (f.id,) + path) for f in reversed(comp_in[u]))
     return paths
 
 
 def hereditary_collapse(g: Graph, vertex_set: Iterable[str]) -> Graph:
     """Restrict to a hereditary set H and replace every path arriving from
     outside by one fresh source with a single edge into the path's range.
-    The fresh source is named by the path's edge ids joined with '_'."""
+    The fresh source is named by the path's edge ids joined with '_'.
+    Refuses (CollapseTooLarge) when the paths would hold more than
+    MAX_COLLAPSE_PATH_IDS edge ids in all."""
     hset = set(vertex_set)
     if not hset:
         raise WouldEmptyGraph("hereditary set must be nonempty")

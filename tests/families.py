@@ -3,8 +3,8 @@
 The oracles here deliberately use different algorithms than the package
 (boolean-closure reachability, edge-tuple cycle scans, forward-only
 rational elimination, rational reduced row-echelon solves, recursive
-cycle search, one rebuild per source elimination) so agreement actually
-cross-checks something.
+cycle search, one rebuild per source elimination, memoised recursive
+crossing paths) so agreement actually cross-checks something.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from leavitt_ibn import Graph, build_graph, canonical_order, source_eliminate
+from leavitt_ibn.errors import ComplementHasCycle
 
 RANDOM_GRAPH_SEED = 0x1BA5E5
 RANDOM_MATRIX_SEED = 0x5E1ECF
@@ -135,6 +136,30 @@ def random_graphs(count: int, seed: int = RANDOM_GRAPH_SEED, **kw):
         yield random_graph(rng, **kw)
 
 
+def chain_into_loop(n: int) -> Graph:
+    """v1 -> v2 -> ... -> vn -> w with a loop at w; collapsing onto {w}
+    gives n paths with n(n+1)/2 edge ids in all."""
+    vs = [f"v{i}" for i in range(1, n + 1)] + ["w"]
+    es = [(f"e{i}", vs[i - 1], vs[i]) for i in range(1, n + 1)]
+    return build_graph(vs, es + [("l", "w", "w")])
+
+
+def diamonds_into_loop(k: int) -> Graph:
+    """a0 -> a1 -> ... -> ak -> w with a loop at w, where each step from ai
+    to a(i+1) is a diamond through bi and ci; each diamond roughly doubles
+    the paths that collapsing onto {w} must build."""
+    vs = ["a0"]
+    es = []
+    for i in range(k):
+        vs += [f"b{i}", f"c{i}", f"a{i + 1}"]
+        es += [
+            (f"ab{i}", f"a{i}", f"b{i}"),
+            (f"ac{i}", f"a{i}", f"c{i}"),
+            (f"ba{i}", f"b{i}", f"a{i + 1}"),
+            (f"ca{i}", f"c{i}", f"a{i + 1}"),
+        ]
+    return build_graph(vs + ["w"], es + [("aw", f"a{k}", "w"), ("l", "w", "w")])
+
 def source_free_graph(rng: random.Random, h: int, extra: int) -> Graph:
     """h vertices, each with one in-edge from a random vertex, plus up to
     `extra` more random edges; no vertex is a source."""
@@ -184,6 +209,16 @@ def random_int_matrix(rng: random.Random, max_dim: int = 8, lo: int = -5, hi: in
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def hereditary_subsets(g: Graph):
+    """Every nonempty subset closed under the range of emitted edges, by
+    brute subset enumeration."""
+    vs = g.vertices
+    for mask in range(1, 1 << len(vs)):
+        h = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
+        if all(e.dst in h for e in g.edges if e.src in h):
+            yield h
+
+
 def valid_hereditary_sets(g: Graph):
     """Nonempty hereditary subsets H whose complement is acyclic and all of
     whose outside vertices reach H; exactly the sets the collapse move is
@@ -192,10 +227,7 @@ def valid_hereditary_sets(g: Graph):
     cycles = brute_cycles(g)
     edge_src = {e.id: e.src for e in g.edges}
     vs = g.vertices
-    for mask in range(1, 1 << len(vs)):
-        h = frozenset(v for i, v in enumerate(vs) if mask >> i & 1)
-        if any(e.dst not in h for e in g.edges if e.src in h):
-            continue
+    for h in hereditary_subsets(g):
         if any(all(edge_src[eid] not in h for eid in cyc) for cyc in cycles):
             continue
         if any(
@@ -368,3 +400,48 @@ def enumerated_first_source_cycle(g: Graph):
         if all(g.in_degree(src[eid]) == 1 for eid in cycle):
             return cycle
     return None
+
+
+def recursive_crossing_paths(g: Graph, hset: set[str]) -> list[tuple[str, ...]]:
+    """The crossing paths of the collapse move by recursive colouring and a
+    per-vertex cache of every complement path into the vertex; raises
+    ComplementHasCycle with the package's message."""
+    comp_in: dict[str, list] = {v: [] for v in g.vertices if v not in hset}
+    for e in g.edges:
+        if e.dst not in hset:
+            comp_in[e.dst].append(e)
+    color: dict[str, int] = {}
+
+    def visit(u: str):
+        color[u] = 1
+        for e in comp_in[u]:
+            w = e.src
+            c = color.get(w, 0)
+            if c == 1:
+                raise ComplementHasCycle(
+                    f"complement of the hereditary set contains a cycle through {w}"
+                )
+            if c == 0:
+                visit(w)
+        color[u] = 2
+
+    for u in comp_in:
+        if color.get(u, 0) == 0:
+            visit(u)
+
+    prefix_cache: dict[str, list[tuple[str, ...]]] = {}
+
+    def prefixes(u: str) -> list[tuple[str, ...]]:
+        got = prefix_cache.get(u)
+        if got is None:
+            got = [()]
+            for e in comp_in[u]:
+                got.extend(p + (e.id,) for p in prefixes(e.src))
+            prefix_cache[u] = got
+        return got
+
+    paths: list[tuple[str, ...]] = []
+    for e in g.edges:
+        if e.src not in hset and e.dst in hset:
+            paths.extend(p + (e.id,) for p in prefixes(e.src))
+    return paths

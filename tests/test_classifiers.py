@@ -4,14 +4,12 @@ import pytest
 
 import families
 from leavitt_ibn import (
-    RULE_DISJOINT_CYCLES,
     RULE_ISOLATED_VERTEX,
     RULE_SOURCE_CYCLE,
     SufficiencyResult,
     build_graph,
     classify_sufficient,
     cycle_properties,
-    cycles_pairwise_disjoint,
     decide_ibn,
     source_free_form,
 )
@@ -95,48 +93,12 @@ def _enumerated_classification(g):
     cycle = families.enumerated_first_source_cycle(sf)
     if cycle is not None:
         return SufficiencyResult(RULE_SOURCE_CYCLE, source_cycle=cycle)
-    if cycles_pairwise_disjoint(g):
-        cycles = tuple(families.recursive_simple_cycles(g))
-        return SufficiencyResult(RULE_DISJOINT_CYCLES, cycles=cycles)
     return SufficiencyResult(None)
 
 
 def test_classify_matches_enumeration_oracle():
     for g in families.peel_parity_graphs():
         assert classify_sufficient(g) == _enumerated_classification(g)
-
-
-# ── pairwise-disjoint cycles ─────────────────────────────────────────
-
-
-def test_cycles_pairwise_disjoint_fixtures(ex26):
-    assert cycles_pairwise_disjoint(families.rose(1)) is True
-    assert cycles_pairwise_disjoint(families.rose(2)) is False
-    assert cycles_pairwise_disjoint(families.a_path(3)) is True
-    assert cycles_pairwise_disjoint(ex26) is False
-    assert cycles_pairwise_disjoint(two_cycle()) is True
-    two_loops = build_graph(["u", "w"], [("lu", "u", "u"), ("lw", "w", "w")])
-    assert cycles_pairwise_disjoint(two_loops) is True
-    loop_on_cycle = build_graph(
-        ["v1", "v2"], [("a", "v1", "v2"), ("b", "v2", "v1"), ("l", "v1", "v1")]
-    )
-    assert cycles_pairwise_disjoint(loop_on_cycle) is False
-
-
-def _brute_disjoint(g):
-    cycles = list(families.brute_cycles(g))
-    edge_src = {e.id: e.src for e in g.edges}
-    verts = [frozenset(edge_src[eid] for eid in c) for c in cycles]
-    return all(a.isdisjoint(b) for a, b in itertools.combinations(verts, 2))
-
-
-def test_cycles_pairwise_disjoint_against_brute_oracle():
-    for g in families.all_graphs(max_vertices=2, max_parallel=2):
-        assert cycles_pairwise_disjoint(g) == _brute_disjoint(g)
-    for g in families.random_graphs(
-        150, seed=families.RANDOM_GRAPH_SEED + 13, max_vertices=4, max_edges=8
-    ):
-        assert cycles_pairwise_disjoint(g) == _brute_disjoint(g)
 
 
 # ── global properties ────────────────────────────────────────────────
@@ -162,20 +124,28 @@ def test_evidence_matches_rule():
         elif res.rule == RULE_SOURCE_CYCLE:
             sf = source_free_form(g).result
             assert cycle_properties(sf, res.source_cycle).is_source_cycle
-        elif res.rule == RULE_DISJOINT_CYCLES:
-            assert cycles_pairwise_disjoint(g)
+
+
+def _cycles_pairwise_disjoint(g):
+    # oracle: vertex sets of the recursively enumerated cycles
+    edge_src = {e.id: e.src for e in g.edges}
+    verts = [
+        frozenset(edge_src[eid] for eid in c) for c in families.recursive_simple_cycles(g)
+    ]
+    return all(a.isdisjoint(b) for a, b in itertools.combinations(verts, 2))
 
 
 def test_disjoint_cycles_rule_is_shadowed():
-    # whenever all cycles are pairwise disjoint, one of the earlier rules
-    # already fires: a source-free graph with disjoint cycles always has a
-    # source cycle at the top of its condensation
+    # pairwise-disjoint cycles needs no rule of its own: without an isolated
+    # vertex, a top strongly connected component of the source-free form
+    # is a single cycle of in-degree-1 vertices, a source cycle
     graphs = itertools.chain(
-        families.all_graphs(max_vertices=2, max_parallel=2),
+        families.all_graphs(max_vertices=3, max_parallel=2),
         families.random_graphs(400, seed=families.RANDOM_GRAPH_SEED + 16),
     )
+    checked = 0
     for g in graphs:
-        res = classify_sufficient(g)
-        assert res.rule != RULE_DISJOINT_CYCLES
-        if res.rule is None:
-            assert not cycles_pairwise_disjoint(g)
+        if _cycles_pairwise_disjoint(g):
+            checked += 1
+            assert classify_sufficient(g).rule is not None
+    assert checked >= 999  # the <= 3-vertex graphs alone give 999

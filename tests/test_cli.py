@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from leavitt_ibn import (
     serialize_graph,
     source_free_equivalent,
 )
+from leavitt_ibn import cli
 from leavitt_ibn.cli import EX_INTERNAL, EX_OK, EX_PARSE, EX_PRECONDITION, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -189,6 +191,19 @@ def test_transform_collapse_not_hereditary(capsys):
     assert "NotHereditary" in err
 
 
+def test_transform_collapse_refused_before_building_paths(capsys, tmp_path):
+    # 30 diamonds give about 4**30 path edge ids; the cap refuses them up front
+    p = tmp_path / "diamonds.gtf"
+    p.write_text(serialize_graph(families.diamonds_into_loop(30)), encoding="utf-8")
+    for op in ("collapse:w", "source-free-equivalent"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "transform", str(p), "--op", op)
+        assert time.perf_counter() - started < 0.5, op
+        assert code == EX_PRECONDITION, op
+        assert out == ""
+        assert "CollapseTooLarge" in err
+
+
 def test_transform_attachments(capsys):
     for op in ("attach-head:v0,2", "attach-star:v0,1", "subdivide:e0,3"):
         code, out, _ = run(capsys, "transform", fx("ex33.gtf"), "--op", op)
@@ -257,6 +272,30 @@ def test_classify_json_on_long_cycle(capsys, tmp_path):
         "rule": "source-cycle",
         "evidence": {"source_cycle": [f"e{i}" for i in range(h)]},
     }
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def add_subparsers(self, **kwargs):  # only the top-level parser calls this
+            built.append(self)
+            return super().add_subparsers(**kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "decide")[0] == EX_PARSE
+        assert run(capsys, "explode", "x.gtf")[0] == EX_PARSE
+        code, out, _ = run(capsys, "classify", fx("a3.gtf"), "--json")
+        assert code == EX_OK
+        assert json.loads(out)["rule"] == "isolated-vertex"
+        code, out, _ = run(capsys, "decide", fx("f29.gtf"))
+        assert code == EX_OK
+        assert out.startswith("has_ibn: true\n")
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
 
 
 # ── failure modes ────────────────────────────────────────────────────

@@ -15,7 +15,6 @@ from leavitt_ibn import (
     solve_particular,
 )
 from leavitt_ibn.errors import DimensionMismatch, EmptyGraph, UnknownVertex
-from leavitt_ibn.exact_linalg import augment
 
 matrices = st.integers(1, 6).flatmap(
     lambda r: st.integers(1, 6).flatmap(
@@ -116,7 +115,7 @@ def test_augmented_ranks_agree_with_separate_ranks():
         rhs = [rng.randint(-5, 5) for _ in range(m.rows)]
         rank_m, rank_aug = augmented_ranks(m, rhs)
         assert rank_m == rank(m)
-        assert rank_aug == rank(augment(m, rhs))
+        assert rank_aug == rank(IntMatrix.from_rows([r + [b] for r, b in zip(rows, rhs)]))
         assert rank_aug - rank_m in (0, 1)
 
 

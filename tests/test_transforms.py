@@ -19,6 +19,7 @@ from leavitt_ibn import (
 )
 from leavitt_ibn.errors import (
     BadCount,
+    CollapseTooLarge,
     ComplementHasCycle,
     DuplicateVertex,
     EmptyGraph,
@@ -28,6 +29,8 @@ from leavitt_ibn.errors import (
     UnknownVertex,
     WouldEmptyGraph,
 )
+from leavitt_ibn import transforms
+from leavitt_ibn.transforms import MAX_COLLAPSE_PATH_IDS, _crossing_paths
 
 
 def _edge_tuples(g):
@@ -303,6 +306,43 @@ def test_hereditary_collapse_preserves_verdict_on_samples(ex36, e29):
         for h in families.valid_hereditary_sets(g):
             got = hereditary_collapse(g, h)
             assert decide_ibn(got, with_witness=False).has_ibn == want
+
+
+def test_crossing_paths_match_recursive_oracle():
+    for g in families.all_graphs(max_vertices=3, max_parallel=2):
+        for h in families.hereditary_subsets(g):
+            try:
+                want = families.recursive_crossing_paths(g, h)
+            except ComplementHasCycle as exc:
+                with pytest.raises(ComplementHasCycle) as got:
+                    _crossing_paths(g, h)
+                assert str(got.value) == str(exc)
+            else:
+                assert _crossing_paths(g, h) == want
+
+
+def test_hereditary_collapse_long_chain():
+    # one fresh source per path into w; deep enough to overflow a recursive
+    # walk, and within the cap
+    n = 2000
+    got = hereditary_collapse(families.chain_into_loop(n), ["w"])
+    assert got.vertices[:2] == ("w", f"e{n}")
+    assert got.vertices[-1] == "_".join(f"e{i}" for i in range(1, n + 1))
+    ids = sum(v.count("_") + 1 for v in got.vertices[1:])
+    assert ids == n * (n + 1) // 2 <= MAX_COLLAPSE_PATH_IDS
+
+
+def test_hereditary_collapse_refuses_above_the_cap(monkeypatch):
+    with pytest.raises(CollapseTooLarge):
+        hereditary_collapse(families.diamonds_into_loop(16), ["w"])
+    # the cap is on the total path edge ids, counted exactly
+    g = families.diamonds_into_loop(6)
+    ids = sum(map(len, families.recursive_crossing_paths(g, {"w"})))
+    monkeypatch.setattr(transforms, "MAX_COLLAPSE_PATH_IDS", ids)
+    hereditary_collapse(g, ["w"])
+    monkeypatch.setattr(transforms, "MAX_COLLAPSE_PATH_IDS", ids - 1)
+    with pytest.raises(CollapseTooLarge):
+        hereditary_collapse(g, ["w"])
 
 
 # ── the composite source-free move ───────────────────────────────────
