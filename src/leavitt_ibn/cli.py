@@ -121,10 +121,18 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load(args.file)
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("IBN_ORACLE_BUDGET", 100_000))
+        env = os.environ.get("IBN_ORACLE_BUDGET", "100000")
+        try:
+            budget = int(env)
+        except ValueError:
+            raise _UsageError(f"IBN_ORACLE_BUDGET must be an integer, got {env!r}")
+    if budget < 1:
+        raise _UsageError(f"the budget must be at least 1 state per side, got {budget}")
+    if args.max < 2:
+        raise _UsageError(f"--max must be at least 2, got {args.max}")
+    g = _load(args.file)
     res = ibn_refute_search(g, args.max, SearchBudget(max_states=budget))
     if args.json:
         sys.stdout.write(_dump(refute_json(res)))

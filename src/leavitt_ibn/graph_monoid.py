@@ -6,6 +6,12 @@ ranges of its outgoing edges; it only applies at regular vertices.  Two
 elements are equal in the monoid iff their forward closures meet, so
 equality search is a dual breadth-first closure with a state budget.  A
 miss is inconclusive by construction and the API says so.
+
+The refutation scan over pairs (m, n) keeps one closure per start
+k * sum(V), grown only as far as some pair needs, and shares it between
+every pair with that start; so up to max_mn closures are alive at once.
+Each pair still returns exactly what two fresh closures expanded in
+lockstep would.
 """
 
 from __future__ import annotations
@@ -242,18 +248,140 @@ class NotFoundWithinBudget:
     states_explored: int
 
 
-def _trace_back(parents, state) -> tuple[str, ...]:
-    steps = []
-    cur = state
+class _Packing:
+    """The states of one graph's searches packed into single integers, one
+    fixed-width field per vertex, so a rewrite step is one integer
+    addition and closure lookups hash ints instead of tuples.  The width
+    leaves headroom above the coefficient-sum cap and the largest start
+    coordinate (starts are never pruned), and the pre-checked coefficient
+    at the rewritten vertex keeps fields from borrowing into each other."""
+
+    def __init__(self, g: Graph, budget: Optional[SearchBudget], largest_start: int):
+        if budget is None:
+            budget = SearchBudget()
+        max_sum = budget.max_coeff_sum
+        if max_sum is None:
+            max_sum = COEFF_SUM_CAP_FACTOR * max(1, len(g.vertices))
+        width = max(max(max_sum, largest_start).bit_length() + 1, 8)
+        self.g = g
+        self.field = (1 << width) - 1
+        self.shifts = [i * width for i in range(len(g.vertices))]
+        self.max_sum = max_sum
+        self.max_states = budget.max_states
+        regular, deltas, idxs = _deltas(g)
+        self.names = regular
+        # (shift of the rewritten vertex, packed delta, change in coefficient sum)
+        self.moves = tuple(
+            (self.shifts[vi], self.pack(delta), sum(delta))
+            for delta, vi in zip(deltas, idxs)
+        )
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        # arithmetic packing so delta entries of -1 stay correct
+        return sum(c << sh for sh, c in zip(self.shifts, coeffs))
+
+    def closure(self, coeffs: Sequence[int]) -> _Closure:
+        return _Closure(self, self.pack(coeffs), sum(coeffs))
+
+    def equal(self, x: _Closure, y: _Closure, state: int) -> Equal:
+        common = [state >> sh & self.field for sh in self.shifts]
+        return Equal(x.trace(state), y.trace(state), _to_vector(self.g, common))
+
+
+class _Closure:
+    """The breadth-first forward closure of one packed start, grown one pop
+    at a time and kept, so every pair search with this start shares it.
+    found maps each state to its discovery event, pop index * len(moves)
+    + move index (-1 for the start).  A move finds at most one state per
+    pop, so the codes order the closure's discoveries, and the state
+    minus that move's packed delta is the parent.  The queue is dropped
+    once the closure can pop no more: it ran empty or made max_states
+    pops."""
+
+    __slots__ = ("packing", "found", "queue", "pops")
+
+    def __init__(self, packing: _Packing, start: int, total: int):
+        self.packing = packing
+        self.found = {start: -1}
+        self.queue = deque([(start, total)]) if packing.max_states > 0 else None
+        self.pops = 0
+
+    def pop(self, other: dict) -> list[int]:
+        """Expand the next queued state in canonical vertex order; return
+        the fresh successors that other already holds."""
+        pk = self.packing
+        field, max_sum = pk.field, pk.max_sum
+        found, queue = self.found, self.queue
+        state, total = queue.popleft()
+        code = self.pops * len(pk.moves)
+        self.pops += 1
+        hits = []
+        for sh, pdelta, gr in pk.moves:
+            if state >> sh & field and total + gr <= max_sum:
+                succ = state + pdelta
+                if succ not in found:
+                    found[succ] = code
+                    queue.append((succ, total + gr))
+                    if succ in other:
+                        hits.append(succ)
+            code += 1
+        if not queue or self.pops >= pk.max_states:
+            self.queue = None
+        return hits
+
+    def trace(self, state: int) -> RewriteTrace:
+        moves, names = self.packing.moves, self.packing.names
+        steps = []
+        code = self.found[state]
+        while code >= 0:
+            j = code % len(moves)
+            steps.append(names[j])
+            state -= moves[j][1]
+            code = self.found[state]
+        steps.reverse()
+        return RewriteTrace(tuple(steps))
+
+
+def _meet(x: _Closure, y: _Closure) -> Optional[int]:
+    """The state at which two fresh closures expanded in lockstep would
+    first meet, or None when they cannot within the budget.  In the
+    lockstep each round pops side x, then side y, and stops at the first
+    state that one side finds while the other already holds it; so the
+    meet is the common state whose later discovery, ordered by (round,
+    side, move), comes first.  Closures may arrive grown by earlier
+    pairs: their common states are compared first, the rounds both sides
+    have already made are skipped, and each fresh discovery looks up the
+    other side."""
+    n = len(x.packing.moves)
+
+    def when(code: int, side: int) -> int:
+        # (round, side, move) as one integer; the start precedes everything
+        return -1 if code < 0 else code + (code // n + side) * n
+
+    best, best_at = None, None
+
+    def consider(states):
+        nonlocal best, best_at
+        for s in states:
+            at = max(when(x.found[s], 0), when(y.found[s], 1))
+            if best_at is None or at < best_at:
+                best, best_at = s, at
+
+    consider(x.found.keys() & y.found.keys())
     while True:
-        entry = parents[cur]
-        if entry is None:
-            break
-        prev, v = entry
-        steps.append(v)
-        cur = prev
-    steps.reverse()
-    return tuple(steps)
+        if x.queue is None:
+            if y.queue is None:
+                return best
+            rnd = y.pops
+        else:
+            rnd = x.pops if y.queue is None else min(x.pops, y.pops)
+        # every discovery of the rounds before rnd is known by now
+        if best_at is not None and best_at < 2 * n * rnd:
+            return best
+        if x.queue is not None and x.pops == rnd:
+            consider(x.pop(y.found))
+        if y.queue is not None and y.pops == rnd:
+            consider(y.pop(x.found))
 
 
 def equal_in_monoid(
@@ -266,85 +394,14 @@ def equal_in_monoid(
     lockstep one dequeue per side, successors in canonical vertex order.
     Returns Equal with both traces to the common element, or
     NotFoundWithinBudget."""
-    if budget is None:
-        budget = SearchBudget()
-    max_sum = budget.max_coeff_sum
-    if max_sum is None:
-        max_sum = COEFF_SUM_CAP_FACTOR * max(1, len(g.vertices))
-    regular, deltas, idxs = _deltas(g)
-    growth = [sum(d) for d in deltas]  # change in coefficient sum, >= 0
-
     sx = _to_state(g, x)
     sy = _to_state(g, y)
-    if sx == sy:
-        return Equal(RewriteTrace(), RewriteTrace(), _to_vector(g, sx))
-
-    # States are packed into single integers, one fixed-width field per
-    # vertex, so a rewrite step is one integer addition and visited-set
-    # lookups hash ints instead of tuples.  The width leaves headroom above
-    # the coefficient-sum cap, and the pre-checked coefficient at the
-    # rewritten vertex keeps fields from borrowing into each other.
-    # Field width covers the cap and the (never pruned) start coordinates.
-    largest = max(max_sum, max(sx), max(sy))
-    width = max(largest.bit_length() + 1, 8)
-    field = (1 << width) - 1
-    shifts = [i * width for i in range(len(g.vertices))]
-
-    def pack(coeffs: Sequence[int]) -> int:
-        # arithmetic packing so delta entries of -1 stay correct
-        return sum(c << sh for sh, c in zip(shifts, coeffs))
-
-    def unpack(packed: int) -> tuple[int, ...]:
-        return tuple(packed >> sh & field for sh in shifts)
-
-    # (shift of the rewritten vertex, packed delta, growth, vertex name)
-    moves = tuple(
-        (shifts[vi], pack(delta), gr, v)
-        for delta, vi, gr, v in zip(deltas, idxs, growth, regular)
-    )
-    max_states = budget.max_states
-
-    px, py = pack(sx), pack(sy)
-    parents = ({px: None}, {py: None})
-    queues = (deque([(px, sum(sx))]), deque([(py, sum(sy))]))
-    popped = [0, 0]
-    explored = 0
-
-    while True:
-        active = False
-        for me in (0, 1):
-            queue = queues[me]
-            if not queue or popped[me] >= max_states:
-                continue
-            active = True
-            popped[me] += 1
-            explored += 1
-            state, total = queue.popleft()
-            mine = parents[me]
-            theirs = parents[1 - me]
-            meet = None
-            for sh, pdelta, gr, v in moves:
-                if not state >> sh & field:
-                    continue
-                succ_total = total + gr
-                if succ_total > max_sum:
-                    continue
-                succ = state + pdelta
-                if succ in mine:
-                    continue
-                mine[succ] = (state, v)
-                if succ in theirs:
-                    meet = succ
-                    break
-                queue.append((succ, succ_total))
-            if meet is not None:
-                tx = _trace_back(parents[0], meet)
-                ty = _trace_back(parents[1], meet)
-                return Equal(
-                    RewriteTrace(tx), RewriteTrace(ty), _to_vector(g, unpack(meet))
-                )
-        if not active:
-            return NotFoundWithinBudget(explored)
+    packing = _Packing(g, budget, max(sx + sy, default=0))
+    cx, cy = packing.closure(sx), packing.closure(sy)
+    meet = _meet(cx, cy)
+    if meet is None:
+        return NotFoundWithinBudget(cx.pops + cy.pops)
+    return packing.equal(cx, cy, meet)
 
 
 @dataclass(frozen=True)
@@ -362,10 +419,20 @@ def ibn_refute_search(
     nothing found within budget, which decides nothing."""
     if not g.vertices:
         raise EmptyGraph("refute search needs at least one vertex")
+    # one closure per start k * sum(V), shared by every pair that needs it;
+    # closure n is dropped once row n is done
+    packing = _Packing(g, budget, max_mn)
+    closures: dict[int, _Closure] = {}
+
+    def closure(k: int) -> _Closure:
+        if k not in closures:
+            closures[k] = packing.closure([k] * len(g.vertices))
+        return closures[k]
+
     for n in range(1, max_mn):
-        yn = uniform_vector(g, n)
         for m in range(n + 1, max_mn + 1):
-            res = equal_in_monoid(g, uniform_vector(g, m), yn, budget)
-            if isinstance(res, Equal):
-                return RefuteResult(m, n, res)
+            meet = _meet(closure(m), closure(n))
+            if meet is not None:
+                return RefuteResult(m, n, packing.equal(closures[m], closures[n], meet))
+        del closures[n]
     return None

@@ -8,7 +8,8 @@ Directives, one per line ('#' starts a comment anywhere):
 
 Names are tokens of letters, digits and underscore.  Endpoints must be
 declared before use; nothing is auto-created.  Repeated `edges` lines for
-the same pair continue the numbering.
+the same pair continue the numbering.  The `edges` lines of one text may
+create at most MAX_COUNTED_EDGES edges in all.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from .errors import ParseError
 from .graph_core import Graph, build_graph
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
+
+# Each parallel edge costs about 0.25 KB, so a 22-byte `edges a b K` line
+# with K = 10**9 would ask for about 250 GB; the count is checked against
+# this total before any edge is made.
+MAX_COUNTED_EDGES = 1_000_000
 
 
 def _token(lineno: int, what: str, value: str) -> str:
@@ -31,6 +37,7 @@ def parse_gtf(text: str) -> Graph:
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     anon_counter: dict[tuple[str, str], int] = {}
+    made = 0  # edges created by `edges` lines so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,6 +68,12 @@ def parse_gtf(text: str) -> Graph:
                 k = -1
             if k < 1:
                 raise ParseError(lineno, f"count must be a positive integer, got {parts[3]!r}")
+            made += k
+            if made > MAX_COUNTED_EDGES:
+                raise ParseError(
+                    lineno,
+                    f"edges lines ask for more than {MAX_COUNTED_EDGES} edges in all",
+                )
             start = anon_counter.get((src, dst), 0)
             anon_counter[(src, dst)] = start + k
             for i in range(start + 1, start + k + 1):

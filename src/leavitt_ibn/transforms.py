@@ -24,6 +24,7 @@ from .errors import (
     NotASource,
 )
 from .graph_core import (
+    Edge,
     Graph,
     build_graph,
     canonical_order,
@@ -150,20 +151,25 @@ def attach_star(g: Graph, v0: str, n: int) -> Graph:
     return build_graph(tuple(g.vertices) + tuple(names), edges)
 
 
+def _subdivision(e0: Edge, n: int) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """The n fresh vertices and the path that replace e0:
+    s(e0) -> e0__vn -> ... -> e0__v1 -> r(e0)."""
+    names = [f"{e0.id}__v{i}" for i in range(1, n + 1)]
+    path = [(f"{e0.id}__e1", names[0], e0.dst)]
+    path += [(f"{e0.id}__e{i}", names[i - 1], names[i - 2]) for i in range(2, n + 1)]
+    path.append((f"{e0.id}__e{n + 1}", e0.src, names[n - 1]))
+    return names, path
+
+
 def subdivide_edge(g: Graph, e0_id: str, n: int) -> Graph:
     """Replace edge e0 by a path through n fresh vertices:
     s(e0) -> e0__vn -> ... -> e0__v1 -> r(e0)."""
     e0 = get_edge(g, e0_id)
     if e0 is None:
         raise UnknownEdge(e0_id)
-    n = _check_count(n)
-    names = [f"{e0_id}__v{i}" for i in range(1, n + 1)]
+    names, path = _subdivision(e0, _check_count(n))
     edges = [(e.id, e.src, e.dst) for e in g.edges if e.id != e0_id]
-    edges.append((f"{e0_id}__e1", names[0], e0.dst))
-    for i in range(2, n + 1):
-        edges.append((f"{e0_id}__e{i}", names[i - 1], names[i - 2]))
-    edges.append((f"{e0_id}__e{n + 1}", e0.src, names[n - 1]))
-    return build_graph(tuple(g.vertices) + tuple(names), edges)
+    return build_graph(tuple(g.vertices) + tuple(names), edges + path)
 
 
 # Most edge ids, summed over all crossing paths, that hereditary_collapse
@@ -283,13 +289,19 @@ def source_free_equivalent(g: Graph) -> Optional[Graph]:
     for e in collapsed.edges:
         if e.src not in hset:
             bundle[e.dst] = bundle.get(e.dst, 0) + 1
-    current = base
+    # subdivide one in-edge per target, all in one build
+    cuts = {}
     order, _ = canonical_order(base)
     for v0 in order:
         k = bundle.get(v0, 0)
-        if not k:
-            continue
-        in_edges = base.in_edges(v0)
-        assert in_edges  # base is source-free
-        current = subdivide_edge(current, in_edges[0].id, k)
-    return current
+        if k:
+            in_edges = base.in_edges(v0)
+            assert in_edges  # base is source-free
+            cuts[in_edges[0]] = k
+    vertices = list(base.vertices)
+    edges = [(e.id, e.src, e.dst) for e in base.edges if e not in cuts]
+    for e0, k in cuts.items():
+        names, path = _subdivision(e0, k)
+        vertices += names
+        edges += path
+    return build_graph(vertices, edges)

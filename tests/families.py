@@ -4,17 +4,37 @@ The oracles here deliberately use different algorithms than the package
 (boolean-closure reachability, edge-tuple cycle scans, forward-only
 rational elimination, rational reduced row-echelon solves, recursive
 cycle search, one rebuild per source elimination, memoised recursive
-crossing paths) so agreement actually cross-checks something.
+crossing paths, one rebuild per subdivided edge, one fresh lockstep
+closure pair per monoid equality) so agreement actually cross-checks
+something.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from collections import deque
 from fractions import Fraction
 
-from leavitt_ibn import Graph, build_graph, canonical_order, source_eliminate
-from leavitt_ibn.errors import ComplementHasCycle
+from leavitt_ibn import (
+    Equal,
+    Graph,
+    MonoidVector,
+    NotFoundWithinBudget,
+    RefuteResult,
+    RewriteTrace,
+    SearchBudget,
+    build_graph,
+    canonical_order,
+    hereditary_collapse,
+    source_eliminate,
+    source_free_form,
+    subdivide_edge,
+    uniform_vector,
+)
+from leavitt_ibn.errors import ComplementHasCycle, EmptyGraph, UnknownVertex
+from leavitt_ibn.graph_monoid import COEFF_SUM_CAP_FACTOR
 
 RANDOM_GRAPH_SEED = 0x1BA5E5
 RANDOM_MATRIX_SEED = 0x5E1ECF
@@ -445,3 +465,113 @@ def recursive_crossing_paths(g: Graph, hset: set[str]) -> list[tuple[str, ...]]:
         if e.src not in hset and e.dst in hset:
             paths.extend(p + (e.id,) for p in prefixes(e.src))
     return paths
+
+
+def rebuilt_source_free_equivalent(g: Graph):
+    """source_free_equivalent by one subdivide_edge, and so one graph
+    rebuild, per target of the fresh sources."""
+    report = source_free_form(g)
+    if report.isolated_seen:
+        return None
+    if not report.eliminated:
+        return g
+    base = report.result
+    hset = set(base.vertices)
+    collapsed = hereditary_collapse(g, base.vertices)
+    bundle: dict[str, int] = {}
+    for e in collapsed.edges:
+        if e.src not in hset:
+            bundle[e.dst] = bundle.get(e.dst, 0) + 1
+    current = base
+    order, _ = canonical_order(base)
+    for v0 in order:
+        k = bundle.get(v0, 0)
+        if not k:
+            continue
+        current = subdivide_edge(current, base.in_edges(v0)[0].id, k)
+    return current
+
+
+def lockstep_equal_in_monoid(g: Graph, x: MonoidVector, y: MonoidVector, budget=None):
+    """[x] == [y] by two fresh forward closures expanded in lockstep, one
+    dequeue per side per round, successors in canonical vertex order, with
+    a (parent, vertex) pointer per state; stops at the first state one
+    side finds that the other side already holds."""
+    if budget is None:
+        budget = SearchBudget()
+    max_sum = budget.max_coeff_sum
+    if max_sum is None:
+        max_sum = COEFF_SUM_CAP_FACTOR * max(1, len(g.vertices))
+    order, z = canonical_order(g)
+    pos = g.index
+    moves = []
+    for v in order[:z]:
+        d = [0] * len(g.vertices)
+        d[pos[v]] -= 1
+        for e in g.out_edges(v):
+            d[pos[e.dst]] += 1
+        moves.append((pos[v], tuple(d), sum(d), v))
+
+    def state(vec):
+        for v, _ in vec.items():
+            if v not in pos:
+                raise UnknownVertex(v)
+        return tuple(vec.get(v) for v in g.vertices)
+
+    def vector(s):
+        return MonoidVector(dict(zip(g.vertices, s)))
+
+    sx, sy = state(x), state(y)
+    if sx == sy:
+        return Equal(RewriteTrace(), RewriteTrace(), vector(sx))
+    parents = ({sx: None}, {sy: None})
+    queues = (deque([(sx, sum(sx))]), deque([(sy, sum(sy))]))
+    popped = [0, 0]
+
+    def trace_back(mine, s):
+        steps = []
+        while mine[s] is not None:
+            s, v = mine[s]
+            steps.append(v)
+        return RewriteTrace(tuple(reversed(steps)))
+
+    while True:
+        active = False
+        for me in (0, 1):
+            queue, mine, theirs = queues[me], parents[me], parents[1 - me]
+            if not queue or popped[me] >= budget.max_states:
+                continue
+            active = True
+            popped[me] += 1
+            cur, total = queue.popleft()
+            for vi, delta, growth, v in moves:
+                if not cur[vi] or total + growth > max_sum:
+                    continue
+                succ = tuple(map(operator.add, cur, delta))
+                if succ in mine:
+                    continue
+                mine[succ] = (cur, v)
+                if succ in theirs:
+                    return Equal(
+                        trace_back(parents[0], succ),
+                        trace_back(parents[1], succ),
+                        vector(succ),
+                    )
+                queue.append((succ, total + growth))
+        if not active:
+            return NotFoundWithinBudget(sum(popped))
+
+
+def lockstep_refute_search(g: Graph, max_mn: int = 4, budget=None):
+    """ibn_refute_search by one fresh lockstep_equal_in_monoid per pair
+    1 <= n < m <= max_mn, in lexicographic (n, m) order."""
+    if not g.vertices:
+        raise EmptyGraph("refute search needs at least one vertex")
+    for n in range(1, max_mn):
+        for m in range(n + 1, max_mn + 1):
+            res = lockstep_equal_in_monoid(
+                g, uniform_vector(g, m), uniform_vector(g, n), budget
+            )
+            if isinstance(res, Equal):
+                return RefuteResult(m, n, res)
+    return None

@@ -140,6 +140,27 @@ def test_oracle_env_budget(capsys, monkeypatch):
     assert json.loads(out)["found"] is True
 
 
+def test_oracle_bad_budget_in_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("IBN_ORACLE_BUDGET", "abc")
+    code, out, err = run(capsys, "oracle", fx("ex26.gtf"))
+    assert (code, out) == (EX_PARSE, "")
+    assert err == "error: IBN_ORACLE_BUDGET must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--budget", "-3"], "the budget must be at least 1 state per side, got -3"),
+        (["--budget", "0"], "the budget must be at least 1 state per side, got 0"),
+        (["--max", "1"], "--max must be at least 2, got 1"),
+    ],
+)
+def test_oracle_bad_flags_are_usage_errors(capsys, monkeypatch, flags, message):
+    monkeypatch.delenv("IBN_ORACLE_BUDGET", raising=False)
+    code, out, err = run(capsys, "oracle", fx("ex26.gtf"), *flags)
+    assert (code, out, err) == (EX_PARSE, "", f"error: {message}\n")
+
+
 # ── transform ────────────────────────────────────────────────────────
 
 
@@ -313,6 +334,14 @@ def test_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "decide", str(p))
     assert code == EX_PARSE
     assert "line 2" in err
+
+
+def test_huge_edge_count_exits_64(capsys, tmp_path):
+    p = tmp_path / "huge.gtf"
+    p.write_text(f"vertex a\nvertex b\nedges a b {10**9}\n")
+    code, out, err = run(capsys, "decide", str(p))
+    assert (code, out) == (EX_PARSE, "")
+    assert err.startswith("parse error: line 3: edges lines ask for more than")
 
 
 def test_dangling_endpoint_file(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from leavitt_ibn import (
     replay_trace,
     uniform_vector,
 )
+from leavitt_ibn import graph_monoid
 from leavitt_ibn.errors import (
     EmptyGraph,
     GraphAlgebraError,
@@ -266,3 +268,107 @@ def test_refute_search_empty_graph():
 
     with pytest.raises(EmptyGraph):
         ibn_refute_search(build_graph([], []))
+
+
+# ── shared closures against the lockstep oracle ──────────────────────
+
+
+def _outcome_key(res):
+    if res is None or isinstance(res, NotFoundWithinBudget):
+        return res
+    if isinstance(res, Equal):
+        return (res.trace_x.steps, res.trace_y.steps, res.common)
+    return (res.m, res.n, _outcome_key(res.equality))
+
+
+def _assert_refute_parity(g, max_mn, budget):
+    got = ibn_refute_search(g, max_mn, budget)
+    want = families.lockstep_refute_search(g, max_mn, budget)
+    assert _outcome_key(got) == _outcome_key(want), (g, max_mn, budget)
+    return got
+
+
+def test_refute_search_matches_lockstep_on_small_graphs():
+    found = 0
+    for g in families.all_graphs(max_vertices=2):
+        for budget in (SearchBudget(300), SearchBudget(40, 6), SearchBudget(0)):
+            found += _assert_refute_parity(g, 4, budget) is not None
+    assert found > 10
+
+
+def test_shared_closures_match_lockstep_on_random_graphs():
+    rng = random.Random(families.RANDOM_GRAPH_SEED + 14)
+    for g in families.random_graphs(200, seed=families.RANDOM_GRAPH_SEED + 15):
+        for budget in (SearchBudget(20), SearchBudget(200)):
+            _assert_refute_parity(g, rng.randint(2, 5), budget)
+            x, y = (MonoidVector({v: rng.randint(0, 3) for v in g.vertices}) for _ in "xy")
+            got = equal_in_monoid(g, x, y, budget)
+            want = families.lockstep_equal_in_monoid(g, x, y, budget)
+            # NotFoundWithinBudget compares states_explored too
+            assert _outcome_key(got) == _outcome_key(want), (g, x, y, budget)
+
+
+def test_two_cached_closures_meet_as_in_lockstep():
+    # the only <= 3-vertex graphs that refute at (4, 2) with 25 states per
+    # side: closures 4 and 2 were both grown by earlier pairs when they meet
+    graphs = list(itertools.islice(families.all_graphs(max_vertices=3), 4370))
+    for i in (2266, 4369):
+        res = _assert_refute_parity(graphs[i], 4, SearchBudget(25))
+        assert (res.m, res.n) == (4, 2)
+
+
+def _walk(rng, g, z, steps):
+    for _ in range(steps):
+        legal = [v for v in g.vertices if z.get(v) and g.out_edges(v)]
+        if not legal:
+            break
+        z = apply_relation(g, z, rng.choice(legal))
+    return z
+
+
+def test_meet_of_grown_closures_matches_lockstep():
+    # The pair routine must not depend on how far earlier pairs grew the
+    # closures.  Starts a few steps from a common element meet early, often
+    # with several candidates in one round; one side is grown a few pops,
+    # the other up to three budgets' worth, each way round.
+    rng = random.Random(families.RANDOM_GRAPH_SEED + 16)
+    graphs = families.random_graphs(
+        1000, seed=families.RANDOM_GRAPH_SEED + 17, max_vertices=3, max_edges=8
+    )
+    for g in graphs:
+        budget = SearchBudget(rng.choice((4, 12)))
+        z = MonoidVector({v: rng.randint(0, 2) for v in g.vertices})
+        x, y = _walk(rng, g, z, rng.randint(0, 2)), _walk(rng, g, z, rng.randint(0, 2))
+        want = families.lockstep_equal_in_monoid(g, x, y, budget)
+        sx, sy = ([vec.get(v) for v in g.vertices] for vec in (x, y))
+        packing = graph_monoid._Packing(g, budget, max(sx + sy))
+        for x_ahead in (False, True):
+            cx, cy = packing.closure(sx), packing.closure(sy)
+            ahead, behind = (cx, cy) if x_ahead else (cy, cx)
+            for c, pops in ((behind, 3), (ahead, 3 * budget.max_states)):
+                for _ in range(rng.randint(0, pops)):
+                    if c.queue is None:
+                        break
+                    c.pop({})
+            meet = graph_monoid._meet(cx, cy)
+            if meet is None:
+                got = NotFoundWithinBudget(cx.pops + cy.pops)
+            else:
+                got = packing.equal(cx, cy, meet)
+            assert _outcome_key(got) == _outcome_key(want), (g, x, y, budget)
+
+
+def test_refute_search_builds_one_closure_per_start(monkeypatch):
+    built = []
+
+    class CountingClosure(graph_monoid._Closure):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graph_monoid, "_Closure", CountingClosure)
+    # a cycle has IBN, so every pair 1 <= n < m <= 5 is searched
+    assert ibn_refute_search(families.a_cycle(3), 5, SearchBudget(200)) is None
+    assert len(built) == 5

@@ -1,14 +1,17 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import families
-from leavitt_ibn import build_graph, parse_gtf, serialize_graph
+from leavitt_ibn import build_graph, gtf, parse_gtf, serialize_graph
 from leavitt_ibn.errors import (
     DanglingEndpoint,
     DuplicateEdge,
     DuplicateVertex,
     ParseError,
 )
+from leavitt_ibn.gtf import MAX_COUNTED_EDGES
 
 
 def test_parse_basic_with_comments():
@@ -111,6 +114,27 @@ def test_bad_count():
         err = _parse_error(f"vertex a\nedges a a {bad}\n")
         assert err.line == 2
         assert "count" in err.message
+
+
+def test_huge_edge_count_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        err = _parse_error(f"vertex a\nvertex b\nedges a b {10**9}\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.line == 3
+    assert err.message == f"edges lines ask for more than {MAX_COUNTED_EDGES} edges in all"
+    assert peak < 1 << 20
+
+
+def test_edge_count_cap_is_a_running_total(monkeypatch):
+    monkeypatch.setattr(gtf, "MAX_COUNTED_EDGES", 5)
+    ok = "vertex a\nvertex b\nedges a a 3\nedge e a b\nedges a b 2\n"
+    assert len(parse_gtf(ok).edges) == 6  # single `edge` lines do not count
+    err = _parse_error(ok + "edges b a 1\n")
+    assert err.line == 6
+    assert "more than 5 edges" in err.message
 
 
 def test_bad_token():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -382,3 +383,31 @@ def test_source_free_equivalent_properties():
         want = decide_ibn(g, with_witness=False).has_ibn
         assert decide_ibn(got, with_witness=False).has_ibn == want
     assert checked >= 10  # the family must actually exercise the move
+
+
+def test_source_free_equivalent_matches_rebuild_oracle():
+    for g in families.peel_parity_graphs():
+        assert source_free_equivalent(g) == families.rebuilt_source_free_equivalent(g)
+
+
+def _cycle_fed_by_sources(n):
+    cycle = [f"c{i}" for i in range(n)]
+    sources = [f"s{i}" for i in range(n)]
+    edges = [(f"e{i}", cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+    edges += [(f"f{i}", sources[i], cycle[i]) for i in range(n)]
+    return build_graph(cycle + sources, edges)
+
+
+def test_source_free_equivalent_subdivides_in_one_build():
+    # one subdivided in-edge per cycle vertex; one rebuild per target
+    # made this quadratic (about 3 s at n = 1000)
+    g = _cycle_fed_by_sources(1000)
+    start = time.perf_counter()
+    got = source_free_equivalent(g)
+    assert time.perf_counter() - start < 0.5
+    assert len(got.vertices) == 2000
+    # c999, last in canonical order, absorbs its source into e998
+    assert got.edges[-2:] == (
+        ("e998__e1", "e998__v1", "c999"),
+        ("e998__e2", "c998", "e998__v1"),
+    )
