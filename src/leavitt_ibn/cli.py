@@ -60,16 +60,19 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str) -> Graph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise errors.ParseError(0, f"cannot read {path}: {exc}")
     return parse_gtf(text)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}")
 
 
 def _dump(payload: dict) -> str:
@@ -235,7 +238,7 @@ def cmd_batch(args) -> int:
         raise _UsageError(f"not a directory: {args.dir}")
     records = []
     for path in sorted(directory.glob("*.gtf")):
-        g = parse_gtf(path.read_text(encoding="utf-8"))
+        g = _load(str(path))
         started = time.perf_counter()
         verdict = decide_ibn(g)
         rule = classify_sufficient(g).rule
@@ -245,8 +248,7 @@ def cmd_batch(args) -> int:
         if not args.no_timings:
             record["elapsed_ms"] = round(elapsed_ms, 3)
         records.append(record)
-    report = _dump(records)
-    Path(args.report).write_text(report, encoding="utf-8")
+    _emit(_dump(records), args.report)
     sys.stdout.write(f"wrote {len(records)} records to {args.report}\n")
     return EX_OK
 

@@ -91,7 +91,8 @@ class WouldEmptyGraph(GraphAlgebraError):
 
 
 class BadCount(GraphAlgebraError):
-    """Transformation count parameter must be a positive integer."""
+    """Transformation count parameter must be a positive integer, at most
+    transforms.MAX_MOVE_COUNT."""
 
 
 class NotHereditary(GraphAlgebraError):

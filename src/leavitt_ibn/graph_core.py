@@ -164,19 +164,7 @@ def reaches(g: Graph, v: str, w: str) -> bool:
         raise UnknownVertex(v)
     if w not in g.index:
         raise UnknownVertex(w)
-    if v == w:
-        return True
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for e in g.out_edges(u):
-            if e.dst == w:
-                return True
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return False
+    return w in forward_closure(g, (v,))
 
 
 def forward_closure(g: Graph, start: Iterable[str]) -> set[str]:

@@ -2,10 +2,13 @@
 
 Elements are nonnegative integer combinations of vertices.  The one
 rewrite rule replaces a vertex (coefficient permitting) by the sum of the
-ranges of its outgoing edges; it only applies at regular vertices.  Two
-elements are equal in the monoid iff their forward closures meet, so
-equality search is a dual breadth-first closure with a state budget.  A
-miss is inconclusive by construction and the API says so.
+ranges of its outgoing edges; it only applies at regular vertices.  Each
+graph has one move table, built in O(V + E), that maps a regular vertex
+to its index and the indices of its ranges; replay, greedy schedules and
+the packed search all read it.  Two elements are equal in the monoid iff
+their forward closures meet, so equality search is a dual breadth-first
+closure with a state budget.  A miss is inconclusive by construction and
+the API says so.
 
 The refutation scan over pairs (m, n) keeps one closure per start
 k * sum(V), grown only as far as some pair needs, and shares it between
@@ -26,7 +29,7 @@ from .errors import (
     NotRegular,
     UnknownVertex,
 )
-from .graph_core import Graph, canonical_order
+from .graph_core import Graph
 
 DEFAULT_MAX_STATES = 100_000
 COEFF_SUM_CAP_FACTOR = 64  # default cap: 64 * vertex count
@@ -126,21 +129,15 @@ def replay_trace(g: Graph, start: MonoidVector, trace: RewriteTrace) -> MonoidVe
     where folding apply_relation over the steps would."""
     if not trace.steps:
         return start
-    pos = g.index
+    moves = _moves(g)
     # a vertex outside the graph stays in every state, so the first step
     # that passes its own checks fails on it
-    stray = next((v for v, _ in start.items() if v not in pos), None)
+    stray = next((v for v, _ in start.items() if v not in g.index), None)
     state = [start.get(v) for v in g.vertices]
-    moves: dict[str, tuple[int, list[int]]] = {}
     for v in trace.steps:
         move = moves.get(v)
         if move is None:
-            if v not in pos:
-                raise UnknownVertex(v)
-            out = g.out_edges(v)
-            if not out:
-                raise NotRegular(v)
-            move = moves[v] = (pos[v], [pos[e.dst] for e in out])
+            raise NotRegular(v) if v in g.index else UnknownVertex(v)
         vi, dsts = move
         if state[vi] < 1:
             raise InsufficientCoefficient(v)
@@ -152,27 +149,23 @@ def replay_trace(g: Graph, start: MonoidVector, trace: RewriteTrace) -> MonoidVe
     return _to_vector(g, state)
 
 
-def _deltas(g: Graph) -> tuple[tuple[str, ...], list[tuple[int, ...]], list[int]]:
-    """Per regular vertex (canonical order): the integer effect of one
-    application, as a vector aligned with g.vertices, plus its index."""
-    order, z = canonical_order(g)
+def _moves(g: Graph) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """The rewrite table: each regular vertex, in canonical order, mapped
+    to its index in g.vertices and the index of the range of each edge it
+    emits.  One step at v subtracts 1 at the first and adds 1 at each of
+    the second; every rewrite in this module applies it.  O(V + E)."""
     pos = g.index
-    regular = order[:z]
-    deltas = []
-    idxs = []
-    for v in regular:
-        d = [0] * len(g.vertices)
-        d[pos[v]] -= 1
-        for e in g.out_edges(v):
-            d[pos[e.dst]] += 1
-        deltas.append(tuple(d))
-        idxs.append(pos[v])
-    return regular, deltas, idxs
+    table = {}
+    for v in g.vertices:
+        out = g.out_edges(v)
+        if out:
+            table[v] = (pos[v], tuple(pos[e.dst] for e in out))
+    return table
 
 
-def _to_state(g: Graph, x: MonoidVector) -> tuple[int, ...]:
+def _to_state(g: Graph, x: MonoidVector) -> list[int]:
     _check_support(g, x)
-    return tuple(x.get(v) for v in g.vertices)
+    return [x.get(v) for v in g.vertices]
 
 
 def _to_vector(g: Graph, state: Sequence[int]) -> MonoidVector:
@@ -185,36 +178,31 @@ def execute_counts(
     """Greedily apply the relation count(v) times at each regular vertex v:
     round-robin sweeps in canonical order, one application per eligible
     vertex per sweep.  None when a full sweep makes no progress."""
-    regular, deltas, idxs = _deltas(g)
-    regular_set = set(regular)
+    moves = _moves(g)
     remaining = {}
     for v, c in counts.items():
         if not g.has_vertex(v):
             raise UnknownVertex(v)
-        if v not in regular_set:
+        if v not in moves:
             raise NotRegular(f"count given for non-regular vertex {v}")
         c = int(c)
         if c < 0:
             raise ValueError(f"negative count at {v}")
         if c:
             remaining[v] = c
-    state = list(_to_state(g, start))
-    # sparse effects of the counted vertices only
-    moves = [
-        (v, vi, [(i, d) for i, d in enumerate(delta) if d])
-        for v, delta, vi in zip(regular, deltas, idxs)
-        if v in remaining
-    ]
+    state = _to_state(g, start)
+    counted = [(v, vi, dsts) for v, (vi, dsts) in moves.items() if v in remaining]
 
     def sweeps():
         # steps go straight into the trace tuple, never held twice
         progressed = True
         while remaining and progressed:
             progressed = False
-            for v, vi, delta in moves:
+            for v, vi, dsts in counted:
                 if v in remaining and state[vi] >= 1:
-                    for i, d in delta:
-                        state[i] += d
+                    state[vi] -= 1
+                    for j in dsts:
+                        state[j] += 1
                     yield v
                     progressed = True
                     remaining[v] -= 1
@@ -268,12 +256,16 @@ class _Packing:
         self.shifts = [i * width for i in range(len(g.vertices))]
         self.max_sum = max_sum
         self.max_states = budget.max_states
-        regular, deltas, idxs = _deltas(g)
-        self.names = regular
+        moves = _moves(g)
+        self.names = tuple(moves)
         # (shift of the rewritten vertex, packed delta, change in coefficient sum)
         self.moves = tuple(
-            (self.shifts[vi], self.pack(delta), sum(delta))
-            for delta, vi in zip(deltas, idxs)
+            (
+                self.shifts[vi],
+                sum(1 << self.shifts[j] for j in dsts) - (1 << self.shifts[vi]),
+                len(dsts) - 1,
+            )
+            for vi, dsts in moves.values()
         )
 
     def pack(self, coeffs: Sequence[int]) -> int:

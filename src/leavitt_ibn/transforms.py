@@ -34,9 +34,16 @@ from .graph_core import (
 )
 
 
+# Most fresh vertices one attach-head, attach-star or subdivide may add,
+# checked before any name is built; it matches gtf.MAX_COUNTED_EDGES.
+MAX_MOVE_COUNT = 1_000_000
+
+
 def _check_count(n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BadCount(f"count must be a positive integer, got {n!r}")
+    if n > MAX_MOVE_COUNT:
+        raise BadCount(f"count {n} is above the cap of {MAX_MOVE_COUNT}")
     return n
 
 

@@ -5,8 +5,8 @@ The oracles here deliberately use different algorithms than the package
 rational elimination, rational reduced row-echelon solves, recursive
 cycle search, one rebuild per source elimination, memoised recursive
 crossing paths, one rebuild per subdivided edge, one fresh lockstep
-closure pair per monoid equality) so agreement actually cross-checks
-something.
+closure pair per monoid equality, greedy schedules folded from single
+apply_relation steps) so agreement actually cross-checks something.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from leavitt_ibn import (
     RefuteResult,
     RewriteTrace,
     SearchBudget,
+    apply_relation,
     build_graph,
     canonical_order,
     hereditary_collapse,
@@ -575,3 +576,26 @@ def lockstep_refute_search(g: Graph, max_mn: int = 4, budget=None):
             if isinstance(res, Equal):
                 return RefuteResult(m, n, res)
     return None
+
+
+def swept_execute_counts(g: Graph, start: MonoidVector, counts):
+    """execute_counts by folding apply_relation on MonoidVectors:
+    round-robin sweeps over the regular vertices in canonical order, one
+    step per vertex that has a count left and a unit to spend; None when
+    a whole sweep makes no step."""
+    order, z = canonical_order(g)
+    remaining = {v: c for v, c in counts.items() if c}
+    x, steps = start, []
+    while remaining:
+        progressed = False
+        for v in order[:z]:
+            if remaining.get(v) and x.get(v) >= 1:
+                x = apply_relation(g, x, v)
+                steps.append(v)
+                remaining[v] -= 1
+                if not remaining[v]:
+                    del remaining[v]
+                progressed = True
+        if not progressed:
+            return None
+    return x, RewriteTrace(tuple(steps))

@@ -344,6 +344,30 @@ def test_huge_edge_count_exits_64(capsys, tmp_path):
     assert err.startswith("parse error: line 3: edges lines ask for more than")
 
 
+def test_non_utf8_file_exits_64(capsys, tmp_path):
+    p = tmp_path / "latin1.gtf"
+    p.write_bytes(b"vertex caf\xe9\n")
+    code, out, err = run(capsys, "decide", str(p))
+    assert (code, out) == (EX_PARSE, "")
+    assert "cannot read" in err
+
+
+def test_unwritable_transform_output_exits_64(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "out.gtf"
+    code, out, err = run(
+        capsys, "transform", fx("ex26.gtf"), "--op", "cohn-cover", "--out", str(target)
+    )
+    assert (code, out) == (EX_PARSE, "")
+    assert err.startswith(f"error: cannot write {target}")
+
+
+def test_transform_count_above_cap_exits_65(capsys):
+    for op in ("attach-head:v1,1000001", "attach-star:v1,1000001", "subdivide:e,1000001"):
+        code, out, err = run(capsys, "transform", fx("ex26.gtf"), "--op", op)
+        assert (code, out) == (EX_PRECONDITION, ""), op
+        assert "BadCount" in err and "above the cap" in err
+
+
 def test_dangling_endpoint_file(capsys, tmp_path):
     p = tmp_path / "dangling.gtf"
     p.write_text("vertex a\nedge e a b\n")
@@ -428,3 +452,21 @@ def test_batch_fails_fast_on_bad_file(capsys, tmp_path):
     assert code == EX_PARSE
     assert not report.exists()
 
+
+
+def test_batch_over_a_directory_named_gtf_exits_64(capsys, tmp_path):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "x.gtf").mkdir()
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "batch", str(d), "--report", str(report))
+    assert code == EX_PARSE
+    assert "cannot read" in err
+    assert not report.exists()
+
+
+def test_batch_unwritable_report_exits_64(capsys, tmp_path):
+    report = tmp_path / "no_such_dir" / "report.json"
+    code, out, err = run(capsys, "batch", str(FIXTURES), "--report", str(report))
+    assert (code, out) == (EX_PARSE, "")
+    assert err.startswith(f"error: cannot write {report}")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from leavitt_ibn import (
     RewriteTrace,
     SearchBudget,
     apply_relation,
+    build_graph,
     equal_in_monoid,
     execute_counts,
     ibn_refute_search,
@@ -168,6 +170,41 @@ def test_execute_counts_validates_keys(ex26):
         execute_counts(ex26, uniform_vector(ex26, 1), {"v3": 1})
     with pytest.raises(ValueError):
         execute_counts(ex26, uniform_vector(ex26, 1), {"v1": -1})
+
+
+def test_execute_counts_matches_swept_oracle():
+    rng = random.Random(families.RANDOM_GRAPH_SEED + 15)
+    outcomes = []
+    for g in families.random_graphs(400, seed=families.RANDOM_GRAPH_SEED + 16):
+        regular = [v for v in g.vertices if g.out_edges(v)]
+        for _ in range(5):
+            start = MonoidVector({v: rng.randint(0, 2) for v in g.vertices})
+            counts = {v: rng.randint(0, 3) for v in regular if rng.random() < 0.7}
+            got = execute_counts(g, start, counts)
+            assert got == families.swept_execute_counts(g, start, counts)
+            outcomes.append(got is None)
+    # both outcomes occur often enough to mean something
+    assert 200 < sum(outcomes) < len(outcomes) - 200
+
+
+def test_execute_counts_is_linear_on_a_large_graph():
+    # 2000 vertices, each with two loops and an edge to the next: a dense
+    # per-vertex effect vector would cost 4 M entries here
+    h = 2000
+    vs = [f"v{i}" for i in range(h)]
+    edges = [(f"a{i}", v, v) for i, v in enumerate(vs)]
+    edges += [(f"b{i}", v, v) for i, v in enumerate(vs)]
+    edges += [(f"c{i}", vs[i], vs[i + 1]) for i in range(h - 1)]
+    g = build_graph(vs, edges)
+    start = uniform_vector(g, 1)
+    counts = {v: 3 for v in vs[:-1]}
+    best = float("inf")
+    for _ in range(3):
+        began = time.perf_counter()
+        got = execute_counts(g, start, counts)
+        best = min(best, time.perf_counter() - began)
+    assert got is not None and len(got[1]) == 3 * (h - 1)
+    assert best < 0.1
 
 
 # ── equality search ──────────────────────────────────────────────────

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -229,6 +230,33 @@ def test_attachment_errors(ex33):
         attach_star(ex33, "nope", 1)
     with pytest.raises(UnknownEdge):
         subdivide_edge(ex33, "nope", 1)
+
+
+def test_move_counts_above_the_cap_are_refused(ex33, monkeypatch):
+    monkeypatch.setattr(transforms, "MAX_MOVE_COUNT", 3)
+    moves = (
+        lambda n: attach_head(ex33, "v0", n),
+        lambda n: attach_star(ex33, "v0", n),
+        lambda n: subdivide_edge(ex33, "e0", n),
+    )
+    for move in moves:
+        assert len(move(3).vertices) == 5
+        with pytest.raises(BadCount, match="above the cap of 3"):
+            move(4)
+
+
+def test_huge_move_count_is_refused_before_allocating(ex33):
+    tracemalloc.start()
+    try:
+        for move in (attach_head, attach_star):
+            with pytest.raises(BadCount):
+                move(ex33, "v0", 10**9)
+        with pytest.raises(BadCount):
+            subdivide_edge(ex33, "e0", 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fresh_name_collision_is_loud():
