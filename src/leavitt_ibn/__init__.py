@@ -18,25 +18,18 @@ from .exact_linalg import (
     IntMatrix,
     augmented_ranks,
     criterion_system,
-    incidence_matrix,
-    matrix_vector,
     rank,
     solve_particular,
 )
 from .graph_core import (
     CanonicalOrder,
-    CycleProperties,
     Edge,
     Graph,
-    VertexRole,
     build_graph,
     canonical_order,
-    cycle_properties,
     enumerate_simple_cycles,
     is_hereditary,
-    reaches,
     regular_vertices,
-    vertex_roles,
 )
 from .graph_monoid import (
     Equal,
@@ -78,24 +71,17 @@ __all__ = [
     "Graph",
     "Edge",
     "build_graph",
-    "vertex_roles",
-    "VertexRole",
     "regular_vertices",
-    "reaches",
     "is_hereditary",
     "enumerate_simple_cycles",
-    "cycle_properties",
-    "CycleProperties",
     "canonical_order",
     "CanonicalOrder",
     "IntMatrix",
-    "incidence_matrix",
     "CriterionSystem",
     "criterion_system",
     "rank",
     "augmented_ranks",
     "solve_particular",
-    "matrix_vector",
     "MonoidVector",
     "uniform_vector",
     "RewriteTrace",
@@ -131,4 +117,4 @@ __all__ = [
     "serialize_graph",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

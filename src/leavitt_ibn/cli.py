@@ -159,7 +159,9 @@ def _parse_op(op: str):
     """Operation grammar: cohn-cover | source-free-form |
     source-free-equivalent | eliminate:v | attach-head:v,n |
     attach-star:v,n | subdivide:e,n | collapse:v1+v2+..."""
-    name, _, arg = op.partition(":")
+    name, colon, arg = op.partition(":")
+    if colon and name in ("cohn-cover", "source-free-form", "source-free-equivalent"):
+        raise _UsageError(f"operation {name} takes no argument, got {op!r}")
     try:
         if name == "cohn-cover":
             return lambda g: cohn_cover(g)

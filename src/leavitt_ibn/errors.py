@@ -40,10 +40,6 @@ class UnknownEdge(GraphAlgebraError):
     pass
 
 
-class NotACycle(GraphAlgebraError):
-    pass
-
-
 class EmptyGraph(GraphAlgebraError):
     pass
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, EmptyGraph, UnknownVertex
+from .errors import DimensionMismatch, EmptyGraph
 from .graph_core import Graph, canonical_order
 
 
@@ -50,13 +50,6 @@ class IntMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -70,21 +63,6 @@ class IntMatrix:
             " ".join(str(self.at(i, j)) for j in range(self.cols)) for i in range(self.rows)
         )
         return f"IntMatrix[{body}]"
-
-
-def incidence_matrix(g: Graph, order: Optional[Sequence[str]] = None) -> IntMatrix:
-    """Entry (i, j) counts edges order[i] -> order[j]; sink rows are zero.
-    Defaults to the graph's own vertex order."""
-    if order is None:
-        order = g.vertices
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != len(order) or set(pos) != set(g.vertices):
-        raise UnknownVertex("order must be a permutation of the graph's vertices")
-    h = len(order)
-    a = [[0] * h for _ in range(h)]
-    for e in g.edges:
-        a[pos[e.src]][pos[e.dst]] += 1
-    return IntMatrix(h, h, tuple(x for row in a for x in row))
 
 
 class CriterionSystem(NamedTuple):
@@ -208,14 +186,3 @@ def solve_particular(
 ) -> Optional[tuple[Fraction, ...]]:
     """The particular solution of solve_augmented, or None when inconsistent."""
     return solve_augmented(m, rhs).solution
-
-
-def matrix_vector(m: IntMatrix, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if len(x) != m.cols:
-        raise DimensionMismatch("vector length must equal column count")
-    c = m.cols
-    out = []
-    for i in range(m.rows):
-        row = m.entries[i * c : (i + 1) * c]
-        out.append(sum((e * xi for e, xi in zip(row, x)), Fraction(0)))
-    return tuple(out)

@@ -3,8 +3,8 @@
 Vertex order is observable (it fixes matrix layouts downstream), parallel
 edges are distinguished by edge id, and every structure is immutable once
 built.  Conventions: a vertex is *regular* iff it emits at least one edge;
-reachability is reflexive; a cycle is a closed edge path that revisits no
-vertex, reported once, rotated so its smallest-index vertex comes first.
+a cycle is a closed edge path that revisits no vertex, reported once,
+rotated so its smallest-index vertex comes first.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import (
     DuplicateEdge,
     DuplicateVertex,
     InvalidToken,
-    NotACycle,
     UnknownVertex,
 )
 
@@ -39,6 +38,7 @@ class Graph:
         "index",
         "_out",
         "_in",
+        "_move_table",  # graph_monoid's rewrite table, filled on first use
     )
 
     def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...], index: dict):
@@ -47,6 +47,7 @@ class Graph:
         self.index = index
         self._out = None
         self._in = None
+        self._move_table = None
 
     # adjacency maps are built lazily; many transformed graphs only ever
     # need the edge list and the vertex index
@@ -128,61 +129,9 @@ def get_edge(g: Graph, edge_id: str) -> Optional[Edge]:
     return None
 
 
-class VertexRole(NamedTuple):
-    position: str  # sink | source | isolated | internal
-    regular: bool
-
-
-def vertex_roles(g: Graph) -> dict[str, VertexRole]:
-    """Classify every vertex by degree: emits nothing -> sink, receives
-    nothing -> source, both -> isolated, neither -> internal; regular
-    means out-degree >= 1."""
-    roles = {}
-    for v in g.vertices:
-        has_out = g.out_degree(v) > 0
-        has_in = g.in_degree(v) > 0
-        if has_out and has_in:
-            position = "internal"
-        elif has_out:
-            position = "source"
-        elif has_in:
-            position = "sink"
-        else:
-            position = "isolated"
-        roles[v] = VertexRole(position, has_out)
-    return roles
-
-
 def regular_vertices(g: Graph) -> tuple[str, ...]:
     out = set(e.src for e in g.edges)
     return tuple(v for v in g.vertices if v in out)
-
-
-def reaches(g: Graph, v: str, w: str) -> bool:
-    """Reflexive-transitive reachability: every vertex reaches itself."""
-    if v not in g.index:
-        raise UnknownVertex(v)
-    if w not in g.index:
-        raise UnknownVertex(w)
-    return w in forward_closure(g, (v,))
-
-
-def forward_closure(g: Graph, start: Iterable[str]) -> set[str]:
-    seen = set()
-    stack = []
-    for v in start:
-        if v not in g.index:
-            raise UnknownVertex(v)
-        if v not in seen:
-            seen.add(v)
-            stack.append(v)
-    while stack:
-        u = stack.pop()
-        for e in g.out_edges(u):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-    return seen
 
 
 def is_hereditary(g: Graph, vertex_set: Iterable[str]) -> bool:
@@ -235,38 +184,6 @@ def enumerate_simple_cycles(g: Graph) -> tuple[Cycle, ...]:
                     on_path.remove(path_vertices.pop())
                     path_edges.pop()
     return tuple(cycles)
-
-
-class CycleProperties(NamedTuple):
-    has_exit: bool
-    is_source_cycle: bool
-
-
-def cycle_properties(g: Graph, cycle: Sequence[str]) -> CycleProperties:
-    """has_exit: some cycle vertex emits an edge not on the cycle.
-    is_source_cycle: every cycle vertex has total in-degree exactly 1."""
-    by_id = {e.id: e for e in g.edges}
-    edges = []
-    for eid in cycle:
-        if eid not in by_id:
-            raise NotACycle(f"unknown edge {eid}")
-        edges.append(by_id[eid])
-    if not edges:
-        raise NotACycle("empty edge sequence")
-    n = len(edges)
-    verts = []
-    for i, e in enumerate(edges):
-        if e.dst != edges[(i + 1) % n].src:
-            raise NotACycle("consecutive edges do not compose")
-        verts.append(e.src)
-    if len(set(verts)) != n:
-        raise NotACycle("cycle revisits a vertex")
-    cycle_ids = set(cycle)
-    has_exit = any(
-        e.id not in cycle_ids for v in verts for e in g.out_edges(v)
-    )
-    is_source_cycle = all(g.in_degree(v) == 1 for v in verts)
-    return CycleProperties(has_exit, is_source_cycle)
 
 
 class CanonicalOrder(NamedTuple):

@@ -62,9 +62,6 @@ class MonoidVector:
     def to_dict(self) -> dict[str, int]:
         return dict(self._coeffs)
 
-    def total(self) -> int:
-        return sum(self._coeffs.values())
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -153,14 +150,17 @@ def _moves(g: Graph) -> dict[str, tuple[int, tuple[int, ...]]]:
     """The rewrite table: each regular vertex, in canonical order, mapped
     to its index in g.vertices and the index of the range of each edge it
     emits.  One step at v subtracts 1 at the first and adds 1 at each of
-    the second; every rewrite in this module applies it.  O(V + E)."""
-    pos = g.index
-    table = {}
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if out:
-            table[v] = (pos[v], tuple(pos[e.dst] for e in out))
-    return table
+    the second; every rewrite in this module applies it.  Built in
+    O(V + E) on first use and kept on the graph; callers only read it."""
+    if g._move_table is None:
+        pos = g.index
+        table = {}
+        for v in g.vertices:
+            out = g.out_edges(v)
+            if out:
+                table[v] = (pos[v], tuple(pos[e.dst] for e in out))
+        g._move_table = table
+    return g._move_table
 
 
 def _to_state(g: Graph, x: MonoidVector) -> list[int]:

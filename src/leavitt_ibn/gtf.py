@@ -20,6 +20,7 @@ from .errors import ParseError
 from .graph_core import Graph, build_graph
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
+_COUNT = re.compile(r"[0-9]+\Z")
 
 # Each parallel edge costs about 0.25 KB, so a 22-byte `edges a b K` line
 # with K = 10**9 would ask for about 250 GB; the count is checked against
@@ -62,10 +63,12 @@ def parse_gtf(text: str) -> Graph:
                 raise ParseError(lineno, "edges takes source, range, count")
             src = _token(lineno, "vertex name", parts[1])
             dst = _token(lineno, "vertex name", parts[2])
+            # int() alone would also take signs, underscores and non-ASCII
+            # digits, and it refuses more than 4300 digits
             try:
-                k = int(parts[3])
+                k = int(parts[3]) if _COUNT.match(parts[3]) else 0
             except ValueError:
-                k = -1
+                k = 0
             if k < 1:
                 raise ParseError(lineno, f"count must be a positive integer, got {parts[3]!r}")
             made += k

@@ -70,16 +70,16 @@ def ibn_ranks(g: Graph) -> tuple[int, int]:
     return augmented_ranks(system.matrix, system.rhs)
 
 
-def decide_ibn(g: Graph, with_witness: bool = True) -> IbnVerdict:
+def decide_ibn(g: Graph) -> IbnVerdict:
     """Decide IBN; on a negative verdict also construct and replay-verify a
-    witness (unless with_witness is False).  The ranks and the particular
-    solution behind the witness come from one elimination."""
+    witness.  The ranks and the particular solution behind the witness
+    come from one elimination."""
     system = criterion_system(g)
     rank_m, rank_aug, x = solve_augmented(system.matrix, system.rhs)
     has_ibn = x is None
     witness = None
-    if not has_ibn and with_witness:
-        witness = _witness_from_solution(g, system, x, 1)
+    if not has_ibn:
+        witness = _witness_from_solution(g, system, x)
         if not verify_witness(g, witness):
             raise WitnessConstructionFailed(
                 "constructed witness failed replay verification"
@@ -87,27 +87,24 @@ def decide_ibn(g: Graph, with_witness: bool = True) -> IbnVerdict:
     return IbnVerdict(has_ibn, rank_m, rank_aug, witness)
 
 
-def construct_witness(g: Graph, scale: int = 1) -> Witness:
-    """Build a non-IBN witness.  scale multiplies the particular solution
-    (any positive integer gives another valid witness; 1 is canonical)."""
-    if scale < 1:
-        raise ValueError("scale must be a positive integer")
+def construct_witness(g: Graph) -> Witness:
+    """Build the non-IBN witness of the particular solution."""
     system = criterion_system(g)
     x = solve_particular(system.matrix, system.rhs)
     if x is None:
         raise NotApplicable("graph algebra has IBN; no witness exists")
-    return _witness_from_solution(g, system, x, scale)
+    return _witness_from_solution(g, system, x)
 
 
 def _witness_from_solution(
-    g: Graph, system: CriterionSystem, x: tuple[Fraction, ...], scale: int
+    g: Graph, system: CriterionSystem, x: tuple[Fraction, ...]
 ) -> Witness:
     """The witness of the particular solution x of the criterion system,
-    scaled by scale."""
+    scaled by the lcm of its denominators."""
     z = system.z
     assert all(x[i] == 0 for i in range(z, len(x)))  # sinks are free, set 0
 
-    d = scale * lcm(*(xi.denominator for xi in x[:z]))
+    d = lcm(*(xi.denominator for xi in x[:z]))
     regular = system.order[:z]
     m_ints = [int(xi * d) for xi in x[:z]]
     support = [(j, mj) for j, mj in enumerate(m_ints) if mj]

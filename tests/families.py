@@ -1,7 +1,8 @@
 """Shared fixtures, graph families and independent brute-force oracles.
 
 The oracles here deliberately use different algorithms than the package
-(boolean-closure reachability, edge-tuple cycle scans, forward-only
+(boolean-closure reachability, edge-tuple cycle scans, a Kahn peel for
+acyclic complements, ranks without witnesses for verdicts, forward-only
 rational elimination, rational reduced row-echelon solves, recursive
 cycle search, one rebuild per source elimination, memoised recursive
 crossing paths, one rebuild per subdivided edge, one fresh lockstep
@@ -29,6 +30,7 @@ from leavitt_ibn import (
     build_graph,
     canonical_order,
     hereditary_collapse,
+    ibn_ranks,
     source_eliminate,
     source_free_form,
     subdivide_edge,
@@ -245,11 +247,9 @@ def valid_hereditary_sets(g: Graph):
     whose outside vertices reach H; exactly the sets the collapse move is
     meant for.  Brute subset enumeration, so keep graphs small."""
     reach = brute_reachability(g)
-    cycles = brute_cycles(g)
-    edge_src = {e.id: e.src for e in g.edges}
     vs = g.vertices
     for h in hereditary_subsets(g):
-        if any(all(edge_src[eid] not in h for eid in cyc) for cyc in cycles):
+        if not _peels_away(g, h):
             continue
         if any(
             all(not reach[(u, w)] for w in h) for u in vs if u not in h
@@ -258,7 +258,63 @@ def valid_hereditary_sets(g: Graph):
         yield h
 
 
+def _peels_away(g: Graph, h) -> bool:
+    """True iff no cycle lies outside h: a Kahn peel of the vertices
+    outside h, over the edges between them, removes every one of them."""
+    indeg = {v: 0 for v in g.vertices if v not in h}
+    inside = [e for e in g.edges if e.src in indeg and e.dst in indeg]
+    succ: dict[str, list[str]] = {v: [] for v in indeg}
+    for e in inside:
+        indeg[e.dst] += 1
+        succ[e.src].append(e.dst)
+    ready = [v for v, d in indeg.items() if not d]
+    peeled = 0
+    while ready:
+        u = ready.pop()
+        peeled += 1
+        for w in succ[u]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return peeled == len(indeg)
+
+
 # ── independent oracles ──────────────────────────────────────────────
+
+
+def has_ibn(g: Graph) -> bool:
+    """The verdict alone, from the ranks: no witness is built."""
+    rank_m, rank_aug = ibn_ranks(g)
+    return rank_m < rank_aug
+
+
+def _cycle_vertices(g: Graph, cycle) -> list[str]:
+    """The vertices of a cycle given by edge ids, in order; asserts that
+    the edges exist, compose, close up and revisit no vertex."""
+    by_id = {e.id: e for e in g.edges}
+    edges = [by_id[eid] for eid in cycle]
+    assert edges
+    assert all(e.dst == edges[(i + 1) % len(edges)].src for i, e in enumerate(edges))
+    verts = [e.src for e in edges]
+    assert len(set(verts)) == len(verts)
+    return verts
+
+
+def cycle_has_exit(g: Graph, cycle) -> bool:
+    """Some vertex of the cycle emits an edge that is not on the cycle."""
+    ids = set(cycle)
+    return any(e.id not in ids for v in _cycle_vertices(g, cycle) for e in g.out_edges(v))
+
+
+def is_source_cycle(g: Graph, cycle) -> bool:
+    """Every vertex of the cycle has in-degree exactly 1."""
+    return all(g.in_degree(v) == 1 for v in _cycle_vertices(g, cycle))
+
+
+def matrix_vector(m, x) -> tuple[Fraction, ...]:
+    """M x over Fraction, one row at a time."""
+    assert len(x) == m.cols
+    return tuple(sum((e * xi for e, xi in zip(row, x)), Fraction(0)) for row in m.row_lists())
 
 
 def brute_reachability(g: Graph) -> dict[tuple[str, str], bool]:

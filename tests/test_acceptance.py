@@ -20,7 +20,6 @@ from leavitt_ibn import (
     cohn_cover,
     construct_witness,
     criterion_system,
-    cycle_properties,
     decide_ibn,
     enumerate_simple_cycles,
     hereditary_collapse,
@@ -207,13 +206,13 @@ def test_criterion_06_move_invariance(exhaustive):
 
 def _exit_free_cycles(g) -> int:
     return sum(
-        1 for c in enumerate_simple_cycles(g) if not cycle_properties(g, c).has_exit
+        1 for c in enumerate_simple_cycles(g) if not families.cycle_has_exit(g, c)
     )
 
 
 def _source_cycles(g) -> int:
     return sum(
-        1 for c in enumerate_simple_cycles(g) if cycle_properties(g, c).is_source_cycle
+        1 for c in enumerate_simple_cycles(g) if families.is_source_cycle(g, c)
     )
 
 

@@ -9,8 +9,6 @@ from leavitt_ibn import (
     SufficiencyResult,
     build_graph,
     classify_sufficient,
-    cycle_properties,
-    decide_ibn,
     source_free_form,
 )
 from leavitt_ibn.errors import EmptyGraph
@@ -73,7 +71,7 @@ def test_no_rule_on_double_loop_graphs(ex26, e29, f29):
 def test_classifier_is_not_necessary(f29):
     # the pinned gap: a graph whose algebra has IBN but no rule fires
     assert classify_sufficient(f29).rule is None
-    assert decide_ibn(f29, with_witness=False).has_ibn is True
+    assert families.has_ibn(f29) is True
 
 
 def test_empty_graph_rejected():
@@ -112,7 +110,7 @@ def test_rules_are_sound():
     for g in graphs:
         res = classify_sufficient(g)
         if res.rule is not None:
-            assert decide_ibn(g, with_witness=False).has_ibn is True
+            assert families.has_ibn(g) is True
 
 
 def test_evidence_matches_rule():
@@ -123,7 +121,7 @@ def test_evidence_matches_rule():
             assert res.elimination_stage >= 0
         elif res.rule == RULE_SOURCE_CYCLE:
             sf = source_free_form(g).result
-            assert cycle_properties(sf, res.source_cycle).is_source_cycle
+            assert families.is_source_cycle(sf, res.source_cycle)
 
 
 def _cycles_pairwise_disjoint(g):

@@ -244,7 +244,16 @@ def test_transform_out_file(capsys, tmp_path):
 
 
 def test_transform_bad_ops(capsys):
-    for op in ("frobnicate", "attach-head:v0", "attach-head:v0,x", "collapse:", "eliminate:a,b"):
+    for op in (
+        "frobnicate",
+        "attach-head:v0",
+        "attach-head:v0,x",
+        "collapse:",
+        "eliminate:a,b",
+        "cohn-cover:junk",
+        "source-free-form:junk",
+        "source-free-equivalent:x",
+    ):
         code, _, err = run(capsys, "transform", fx("ex26.gtf"), "--op", op)
         assert code == EX_PARSE, op
         assert "error" in err

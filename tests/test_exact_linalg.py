@@ -9,12 +9,10 @@ from leavitt_ibn import (
     IntMatrix,
     augmented_ranks,
     criterion_system,
-    incidence_matrix,
-    matrix_vector,
     rank,
     solve_particular,
 )
-from leavitt_ibn.errors import DimensionMismatch, EmptyGraph, UnknownVertex
+from leavitt_ibn.errors import DimensionMismatch, EmptyGraph
 
 matrices = st.integers(1, 6).flatmap(
     lambda r: st.integers(1, 6).flatmap(
@@ -34,25 +32,6 @@ def test_int_matrix_shape_checks():
         IntMatrix.from_rows([[1, 2], [3]])
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert m.at(1, 0) == 3
-    assert m.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
-
-
-def test_incidence_matrix_ex26(ex26):
-    order = ("v1", "v2", "v3")
-    assert incidence_matrix(ex26, order) == IntMatrix.from_rows(
-        [[2, 1, 0], [0, 1, 1], [0, 0, 0]]
-    )
-    # defaults to the graph's own vertex order
-    assert incidence_matrix(ex26) == incidence_matrix(ex26, order)
-
-
-def test_incidence_matrix_respects_order(ex26):
-    permuted = incidence_matrix(ex26, ("v3", "v2", "v1"))
-    assert permuted == IntMatrix.from_rows([[0, 0, 0], [1, 1, 0], [0, 1, 2]])
-    with pytest.raises(UnknownVertex):
-        incidence_matrix(ex26, ("v1", "v2"))
-    with pytest.raises(UnknownVertex):
-        incidence_matrix(ex26, ("v1", "v2", "v2"))
 
 
 def test_criterion_system_ex26(ex26):
@@ -128,15 +107,14 @@ def test_rank_matches_independent_rational_elimination():
 
 @given(matrices)
 def test_rank_invariant_under_transpose(rows):
-    m = IntMatrix.from_rows(rows)
-    assert rank(m) == rank(m.transpose())
+    assert rank(IntMatrix.from_rows(rows)) == rank(IntMatrix.from_rows(list(zip(*rows))))
 
 
 def test_solve_particular_ex26(ex26):
     system = criterion_system(ex26)
     x = solve_particular(system.matrix, system.rhs)
     assert x == (Fraction(1), Fraction(1), Fraction(0))
-    assert matrix_vector(system.matrix, x) == (Fraction(1),) * 3
+    assert families.matrix_vector(system.matrix, x) == (Fraction(1),) * 3
 
 
 def test_solve_particular_e29(e29):
@@ -160,8 +138,6 @@ def test_solve_particular_shape_check():
     m = IntMatrix.from_rows([[1, 0], [0, 1]])
     with pytest.raises(DimensionMismatch):
         solve_particular(m, (1,))
-    with pytest.raises(DimensionMismatch):
-        matrix_vector(m, (Fraction(1),))
 
 
 def test_solve_particular_recheck_on_random_consistent_systems():
@@ -170,10 +146,10 @@ def test_solve_particular_recheck_on_random_consistent_systems():
         rows = families.random_int_matrix(rng, max_dim=5)
         m = IntMatrix.from_rows(rows)
         planted = [Fraction(rng.randint(-4, 4)) for _ in range(m.cols)]
-        rhs = matrix_vector(m, planted)
+        rhs = families.matrix_vector(m, planted)
         x = solve_particular(m, [int(r) for r in rhs])
         assert x is not None
-        assert matrix_vector(m, x) == rhs
+        assert families.matrix_vector(m, x) == rhs
 
 
 def _rank_deficient_rows(rng):
@@ -195,7 +171,7 @@ def test_solve_particular_matches_rational_rref_on_rank_deficient_systems():
         m = IntMatrix.from_rows(rows)
         if rng.random() < 0.5:
             planted = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.cols)]
-            rhs = [int(r * 6) for r in matrix_vector(m, planted)]
+            rhs = [int(r * 6) for r in families.matrix_vector(m, planted)]
         else:
             rhs = [rng.randint(-3, 3) for _ in range(m.rows)]
         want = families.rational_particular_solution(rows, rhs)

@@ -7,18 +7,14 @@ import families
 from leavitt_ibn import (
     build_graph,
     canonical_order,
-    cycle_properties,
     enumerate_simple_cycles,
     is_hereditary,
-    reaches,
-    vertex_roles,
 )
 from leavitt_ibn.errors import (
     DanglingEndpoint,
     DuplicateEdge,
     DuplicateVertex,
     InvalidToken,
-    NotACycle,
     UnknownVertex,
 )
 
@@ -63,62 +59,7 @@ def test_build_graph_rejects_bad_tokens():
         build_graph([""], [])
 
 
-# ── roles ────────────────────────────────────────────────────────────
-
-
-def test_vertex_roles_ex26(ex26):
-    roles = vertex_roles(ex26)
-    # v1 emits and receives (loops), v3 only receives
-    assert roles["v1"] == ("internal", True)
-    assert roles["v2"] == ("internal", True)
-    assert roles["v3"] == ("sink", False)
-
-
-def test_vertex_roles_positions():
-    g = build_graph(
-        ["src", "mid", "snk", "iso"],
-        [("a", "src", "mid"), ("b", "mid", "snk")],
-    )
-    roles = vertex_roles(g)
-    assert roles["src"].position == "source"
-    assert roles["mid"].position == "internal"
-    assert roles["snk"].position == "sink"
-    assert roles["iso"].position == "isolated"
-    assert roles["iso"].regular is False
-    assert roles["src"].regular is True
-
-
-@given(graphs())
-def test_roles_partition_vertices(g):
-    roles = vertex_roles(g)
-    for v in g.vertices:
-        pos = roles[v].position
-        assert pos in ("sink", "source", "isolated", "internal")
-        assert roles[v].regular == (g.out_degree(v) > 0)
-
-
-# ── reachability and hereditary sets ─────────────────────────────────
-
-
-def test_reaches_is_reflexive(ex26):
-    for v in ex26.vertices:
-        assert reaches(ex26, v, v)
-
-
-def test_reaches_fixture_values(e29):
-    assert reaches(e29, "v0", "v3")
-    assert not reaches(e29, "v3", "v0")
-    assert not reaches(e29, "v2", "v1")
-    with pytest.raises(UnknownVertex):
-        reaches(e29, "v0", "nope")
-
-
-def test_reaches_matches_brute_closure():
-    for g in families.random_graphs(200, max_vertices=8, max_edges=16):
-        expected = families.brute_reachability(g)
-        for v in g.vertices:
-            for w in g.vertices:
-                assert reaches(g, v, w) == expected[(v, w)]
+# ── hereditary sets ──────────────────────────────────────────────────
 
 
 def test_is_hereditary_fixture_values(ex26):
@@ -135,10 +76,9 @@ def test_hereditary_sets_closed_under_union_and_intersection(g, data):
     # forward closures are hereditary by construction
     seeds_a = data.draw(st.lists(st.sampled_from(g.vertices), max_size=3))
     seeds_b = data.draw(st.lists(st.sampled_from(g.vertices), max_size=3))
-    from leavitt_ibn.graph_core import forward_closure
-
-    a = forward_closure(g, seeds_a)
-    b = forward_closure(g, seeds_b)
+    reach = families.brute_reachability(g)
+    a = {w for v in seeds_a for w in g.vertices if reach[(v, w)]}
+    b = {w for v in seeds_b for w in g.vertices if reach[(v, w)]}
     assert is_hereditary(g, a)
     assert is_hereditary(g, b)
     assert is_hereditary(g, a | b)
@@ -190,37 +130,6 @@ def test_cycles_on_long_cycle_do_not_recurse():
     h = 3000
     g = families.a_cycle(h)
     assert enumerate_simple_cycles(g) == (tuple(f"e{i}" for i in range(h)),)
-
-
-def test_cycle_properties_fixture(ex26):
-    # the loop at v2 has the exit g and shares v2 with incoming e
-    props = cycle_properties(ex26, ("f",))
-    assert props.has_exit
-    assert not props.is_source_cycle
-
-
-def test_cycle_properties_rose():
-    r2 = families.rose(2)
-    props = cycle_properties(r2, ("l1",))
-    assert props.has_exit  # the other loop leaves the cycle's edge set
-    assert not props.is_source_cycle
-    r1 = families.rose(1)
-    props = cycle_properties(r1, ("l1",))
-    assert not props.has_exit
-    assert props.is_source_cycle
-
-
-def test_cycle_properties_rejects_non_cycles(ex26):
-    with pytest.raises(NotACycle):
-        cycle_properties(ex26, ())
-    with pytest.raises(NotACycle):
-        cycle_properties(ex26, ("e",))  # does not close
-    with pytest.raises(NotACycle):
-        cycle_properties(ex26, ("l1", "f"))  # edges do not compose
-    with pytest.raises(NotACycle):
-        cycle_properties(ex26, ("nope",))
-    with pytest.raises(NotACycle):
-        cycle_properties(ex26, ("l1", "l2"))  # revisits v1
 
 
 # ── canonical order ──────────────────────────────────────────────────

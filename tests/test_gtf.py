@@ -110,7 +110,7 @@ def test_bad_arity():
 
 
 def test_bad_count():
-    for bad in ("0", "-1", "x", "1.5"):
+    for bad in ("0", "-1", "x", "1.5", "1_0", "+2", "\uff13", "1" * 5000):
         err = _parse_error(f"vertex a\nedges a a {bad}\n")
         assert err.line == 2
         assert "count" in err.message

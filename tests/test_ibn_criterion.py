@@ -65,12 +65,6 @@ def test_path_has_ibn():
     assert v.witness is None
 
 
-def test_with_witness_false_skips_construction(ex26):
-    v = decide_ibn(ex26, with_witness=False)
-    assert v.has_ibn is False
-    assert v.witness is None
-
-
 def test_ranks_helper(ex26, f29):
     assert ibn_ranks(ex26) == (2, 2)
     assert ibn_ranks(f29) == (2, 3)
@@ -81,7 +75,7 @@ def test_empty_graph_rejected():
         decide_ibn(build_graph([], []))
 
 
-# ── witness construction knobs ───────────────────────────────────────
+# ── witness construction ─────────────────────────────────────────────
 
 
 def test_construct_witness_not_applicable_on_ibn_graphs(f29):
@@ -89,22 +83,6 @@ def test_construct_witness_not_applicable_on_ibn_graphs(f29):
         construct_witness(f29)
     with pytest.raises(NotApplicable):
         construct_witness(families.rose(1))
-
-
-def test_construct_witness_scale_invariance(ex26, e29):
-    for g in (ex26, e29):
-        w1 = construct_witness(g, scale=1)
-        for lam in (2, 3):
-            w = construct_witness(g, scale=lam)
-            assert w.d == lam * w1.d
-            assert w.m - w.n == w.d
-            assert w.m_vec == {v: lam * c for v, c in w1.m_vec.items()}
-            assert verify_witness(g, w)
-
-
-def test_construct_witness_rejects_bad_scale(ex26):
-    with pytest.raises(ValueError):
-        construct_witness(ex26, scale=0)
 
 
 # ── witness verification is adversarial ──────────────────────────────

@@ -274,23 +274,23 @@ def test_attachment_kinds_agree_on_verdict():
     for g in samples:
         v0 = g.vertices[0]
         for n in (1, 2):
-            head = decide_ibn(attach_head(g, v0, n), with_witness=False).has_ibn
-            star = decide_ibn(attach_star(g, v0, n), with_witness=False).has_ibn
+            head = families.has_ibn(attach_head(g, v0, n))
+            star = families.has_ibn(attach_star(g, v0, n))
             assert head == star
         if g.edges:
             e0 = g.edges[0]
-            sub = decide_ibn(subdivide_edge(g, e0.id, 2), with_witness=False).has_ibn
-            head = decide_ibn(attach_head(g, e0.dst, 2), with_witness=False).has_ibn
+            sub = families.has_ibn(subdivide_edge(g, e0.id, 2))
+            head = families.has_ibn(attach_head(g, e0.dst, 2))
             assert sub == head
 
 
 def test_attachments_can_flip_the_verdict(e29, f29):
     # the canonical example: a fresh head turns a graph with IBN into one
     # without, so attachment moves are not verdict-preserving in general
-    assert decide_ibn(f29, with_witness=False).has_ibn is True
+    assert families.has_ibn(f29) is True
     headed = attach_head(f29, "v1", 1)
-    assert decide_ibn(headed, with_witness=False).has_ibn is False
-    assert decide_ibn(e29, with_witness=False).has_ibn is False
+    assert families.has_ibn(headed) is False
+    assert families.has_ibn(e29) is False
 
 
 # ── hereditary collapse ──────────────────────────────────────────────
@@ -331,10 +331,10 @@ def test_hereditary_collapse_preserves_verdict_on_samples(ex36, e29):
     samples = [ex36, e29]
     samples += list(families.random_graphs(40, seed=families.RANDOM_GRAPH_SEED + 11, max_vertices=5, max_edges=8))
     for g in samples:
-        want = decide_ibn(g, with_witness=False).has_ibn
+        want = families.has_ibn(g)
         for h in families.valid_hereditary_sets(g):
             got = hereditary_collapse(g, h)
-            assert decide_ibn(got, with_witness=False).has_ibn == want
+            assert families.has_ibn(got) == want
 
 
 def test_crossing_paths_match_recursive_oracle():
@@ -396,7 +396,7 @@ def test_source_free_equivalent_headed_chain(e29):
         ("l1__e1", "l1__v1", "v1"),
         ("l1__e2", "v1", "l1__v1"),
     ]
-    assert decide_ibn(got, with_witness=False).has_ibn is False
+    assert families.has_ibn(got) is False
 
 
 def test_source_free_equivalent_properties():
@@ -408,8 +408,8 @@ def test_source_free_equivalent_properties():
             continue
         checked += 1
         assert all(got.in_degree(v) > 0 for v in got.vertices)
-        want = decide_ibn(g, with_witness=False).has_ibn
-        assert decide_ibn(got, with_witness=False).has_ibn == want
+        want = families.has_ibn(g)
+        assert families.has_ibn(got) == want
     assert checked >= 10  # the family must actually exercise the move
 
 
