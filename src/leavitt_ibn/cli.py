@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -50,6 +51,19 @@ _PARSE_ERRORS = (
 
 class _UsageError(Exception):
     pass
+
+
+_INTEGER = re.compile(r"-?[0-9]+\Z")
+
+
+def _integer(text: str, what: str) -> int:
+    """Every count and budget the CLI reads: ASCII digits, as in a GTF
+    edges count, with a leading minus so that a negative value reaches the
+    range check that names it.  int() alone would also take "+3", "1_0",
+    " 7 " and non-ASCII digits."""
+    if not _INTEGER.match(text):
+        raise _UsageError(f"{what} must be an integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,25 +138,24 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    budget = args.budget
-    if budget is None:
+    if args.budget is None:
         env = os.environ.get("IBN_ORACLE_BUDGET", "100000")
-        try:
-            budget = int(env)
-        except ValueError:
-            raise _UsageError(f"IBN_ORACLE_BUDGET must be an integer, got {env!r}")
+        budget = _integer(env, "IBN_ORACLE_BUDGET")
+    else:
+        budget = _integer(args.budget, "--budget")
     if budget < 1:
         raise _UsageError(f"the budget must be at least 1 state per side, got {budget}")
-    if args.max < 2:
-        raise _UsageError(f"--max must be at least 2, got {args.max}")
+    max_mn = _integer(args.max, "--max")
+    if max_mn < 2:
+        raise _UsageError(f"--max must be at least 2, got {max_mn}")
     g = _load(args.file)
-    res = ibn_refute_search(g, args.max, SearchBudget(max_states=budget))
+    res = ibn_refute_search(g, max_mn, SearchBudget(max_states=budget))
     if args.json:
         sys.stdout.write(_dump(refute_json(res)))
         return EX_OK
     if res is None:
         sys.stdout.write(
-            f"no equality m*sum(V) = n*sum(V) found for 1 <= n < m <= {args.max} "
+            f"no equality m*sum(V) = n*sum(V) found for 1 <= n < m <= {max_mn} "
             f"within {budget} states per side (inconclusive)\n"
         )
     else:
@@ -153,6 +166,13 @@ def cmd_oracle(args) -> int:
             f"  common: {_monoid_str(res.equality.common.to_dict())}\n"
         )
     return EX_OK
+
+
+_COUNTED_MOVES = {
+    "attach-head": attach_head,
+    "attach-star": attach_star,
+    "subdivide": subdivide_edge,
+}
 
 
 def _parse_op(op: str):
@@ -172,18 +192,11 @@ def _parse_op(op: str):
         if name == "eliminate":
             (v,) = arg.split(",")
             return lambda g: source_eliminate(g, v)
-        if name == "attach-head":
-            v, n = arg.split(",")
-            count = int(n)
-            return lambda g: attach_head(g, v, count)
-        if name == "attach-star":
-            v, n = arg.split(",")
-            count = int(n)
-            return lambda g: attach_star(g, v, count)
-        if name == "subdivide":
-            e, n = arg.split(",")
-            count = int(n)
-            return lambda g: subdivide_edge(g, e, count)
+        if name in _COUNTED_MOVES:
+            target, n = arg.split(",")
+            count = _integer(n, f"the count in {op!r}")
+            move = _COUNTED_MOVES[name]
+            return lambda g: move(g, target, count)
         if name == "collapse":
             vs = [v for v in arg.split("+") if v]
             if not vs:
@@ -276,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="search the graph monoid for m*sum(V) = n*sum(V)")
     p.add_argument("file")
-    p.add_argument("--max", type=int, default=4, help="scan 1 <= n < m <= MAX")
+    p.add_argument("--max", default="4", help="scan 1 <= n < m <= MAX")
     p.add_argument(
         "--budget",
-        type=int,
         default=None,
         help="states per closure side (default: IBN_ORACLE_BUDGET or 100000)",
     )

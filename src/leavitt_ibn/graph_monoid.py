@@ -13,8 +13,11 @@ the API says so.
 The refutation scan over pairs (m, n) keeps one closure per start
 k * sum(V), grown only as far as some pair needs, and shares it between
 every pair with that start; so up to max_mn closures are alive at once.
-Each pair still returns exactly what two fresh closures expanded in
-lockstep would.
+A pair grows its two closures by steps of many rounds per call, not one
+pop at a time, and checks the lockstep stop rule after each step.
+Discovery order is fixed by breadth-first order alone, so each pair
+still returns exactly what two fresh closures expanded in lockstep
+would.
 """
 
 from __future__ import annotations
@@ -258,14 +261,17 @@ class _Packing:
         self.max_states = budget.max_states
         moves = _moves(g)
         self.names = tuple(moves)
-        # (shift of the rewritten vertex, packed delta, change in coefficient sum)
+        # (field of the rewritten vertex, packed delta, largest coefficient
+        # sum the move may start from, change in coefficient sum, index)
         self.moves = tuple(
             (
-                self.shifts[vi],
+                self.field << self.shifts[vi],
                 sum(1 << self.shifts[j] for j in dsts) - (1 << self.shifts[vi]),
+                max_sum - (len(dsts) - 1),
                 len(dsts) - 1,
+                index,
             )
-            for vi, dsts in moves.values()
+            for index, (vi, dsts) in enumerate(moves.values())
         )
 
     def pack(self, coeffs: Sequence[int]) -> int:
@@ -281,14 +287,15 @@ class _Packing:
 
 
 class _Closure:
-    """The breadth-first forward closure of one packed start, grown one pop
-    at a time and kept, so every pair search with this start shares it.
-    found maps each state to its discovery event, pop index * len(moves)
-    + move index (-1 for the start).  A move finds at most one state per
-    pop, so the codes order the closure's discoveries, and the state
-    minus that move's packed delta is the parent.  The queue is dropped
-    once the closure can pop no more: it ran empty or made max_states
-    pops."""
+    """The breadth-first forward closure of one packed start, grown many
+    pops per call and kept, so every pair search with this start shares
+    it.  found maps each state to its discovery event, pop index *
+    len(moves) + move index (-1 for the start).  A move finds at most one
+    state per pop, so the codes order the closure's discoveries, and the
+    state minus that move's packed delta is the parent.  Breadth-first
+    order fixes every code, however far the closure is grown and in how
+    many calls.  The queue is dropped once the closure can pop no more:
+    it ran empty or made max_states pops."""
 
     __slots__ = ("packing", "found", "queue", "pops")
 
@@ -298,26 +305,31 @@ class _Closure:
         self.queue = deque([(start, total)]) if packing.max_states > 0 else None
         self.pops = 0
 
-    def pop(self, other: dict) -> list[int]:
-        """Expand the next queued state in canonical vertex order; return
-        the fresh successors that other already holds."""
+    def grow(self, other: dict, pops: int) -> list[int]:
+        """Expand queued states, successors in canonical vertex order,
+        until the closure has made `pops` pops or can pop no more; return
+        the fresh states that other already holds."""
         pk = self.packing
-        field, max_sum = pk.field, pk.max_sum
+        moves, n = pk.moves, len(pk.moves)
         found, queue = self.found, self.queue
-        state, total = queue.popleft()
-        code = self.pops * len(pk.moves)
-        self.pops += 1
+        popleft, append = queue.popleft, queue.append
+        done = self.pops
+        stop = min(pops, pk.max_states)
         hits = []
-        for sh, pdelta, gr in pk.moves:
-            if state >> sh & field and total + gr <= max_sum:
-                succ = state + pdelta
-                if succ not in found:
-                    found[succ] = code
-                    queue.append((succ, total + gr))
-                    if succ in other:
-                        hits.append(succ)
-            code += 1
-        if not queue or self.pops >= pk.max_states:
+        while done < stop and queue:
+            state, total = popleft()
+            code = done * n
+            done += 1
+            for mask, pdelta, cap, gr, j in moves:
+                if state & mask and total <= cap:
+                    succ = state + pdelta
+                    if succ not in found:
+                        found[succ] = code + j
+                        append((succ, total + gr))
+                        if succ in other:
+                            hits.append(succ)
+        self.pops = done
+        if not queue or done >= pk.max_states:
             self.queue = None
         return hits
 
@@ -328,10 +340,13 @@ class _Closure:
         while code >= 0:
             j = code % len(moves)
             steps.append(names[j])
-            state -= moves[j][1]
+            state -= moves[j][1]  # the packed delta
             code = self.found[state]
         steps.reverse()
         return RewriteTrace(tuple(steps))
+
+
+_MAX_STEP = 256  # most rounds _meet grows a side by between stop checks
 
 
 def _meet(x: _Closure, y: _Closure) -> Optional[int]:
@@ -343,7 +358,15 @@ def _meet(x: _Closure, y: _Closure) -> Optional[int]:
     side, move), comes first.  Closures may arrive grown by earlier
     pairs: their common states are compared first, the rounds both sides
     have already made are skipped, and each fresh discovery looks up the
-    other side."""
+    other side.
+
+    Each side is grown by a step of rounds that doubles from 1 up to
+    _MAX_STEP, so one Python call covers many pops.  That leaves the
+    result unchanged: discovery codes do not depend on how far a closure
+    is grown, every common state is seen by whichever side discovers it
+    second, and the meet is only returned once both live sides have made
+    every round that could hold an earlier one.  Overshooting costs pops,
+    never a different answer."""
     n = len(x.packing.moves)
 
     def when(code: int, side: int) -> int:
@@ -360,6 +383,7 @@ def _meet(x: _Closure, y: _Closure) -> Optional[int]:
                 best, best_at = s, at
 
     consider(x.found.keys() & y.found.keys())
+    step = 1
     while True:
         if x.queue is None:
             if y.queue is None:
@@ -370,10 +394,12 @@ def _meet(x: _Closure, y: _Closure) -> Optional[int]:
         # every discovery of the rounds before rnd is known by now
         if best_at is not None and best_at < 2 * n * rnd:
             return best
-        if x.queue is not None and x.pops == rnd:
-            consider(x.pop(y.found))
-        if y.queue is not None and y.pops == rnd:
-            consider(y.pop(x.found))
+        target = rnd + step
+        step = min(2 * step, _MAX_STEP)
+        if x.queue is not None and x.pops < target:
+            consider(x.grow(y.found, target))
+        if y.queue is not None and y.pops < target:
+            consider(y.grow(x.found, target))
 
 
 def equal_in_monoid(

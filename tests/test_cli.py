@@ -141,10 +141,12 @@ def test_oracle_env_budget(capsys, monkeypatch):
 
 
 def test_oracle_bad_budget_in_environment_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("IBN_ORACLE_BUDGET", "abc")
-    code, out, err = run(capsys, "oracle", fx("ex26.gtf"))
-    assert (code, out) == (EX_PARSE, "")
-    assert err == "error: IBN_ORACLE_BUDGET must be an integer, got 'abc'\n"
+    # int() would take " 1_0 "; the CLI reads ASCII digits only
+    for value in ("abc", " 1_0 "):
+        monkeypatch.setenv("IBN_ORACLE_BUDGET", value)
+        code, out, err = run(capsys, "oracle", fx("ex26.gtf"))
+        assert (code, out) == (EX_PARSE, "")
+        assert err == f"error: IBN_ORACLE_BUDGET must be an integer, got {value!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -153,6 +155,8 @@ def test_oracle_bad_budget_in_environment_is_a_usage_error(capsys, monkeypatch):
         (["--budget", "-3"], "the budget must be at least 1 state per side, got -3"),
         (["--budget", "0"], "the budget must be at least 1 state per side, got 0"),
         (["--max", "1"], "--max must be at least 2, got 1"),
+        (["--budget", "1_0"], "--budget must be an integer, got '1_0'"),
+        (["--max", "+3"], "--max must be an integer, got '+3'"),
     ],
 )
 def test_oracle_bad_flags_are_usage_errors(capsys, monkeypatch, flags, message):
@@ -253,6 +257,10 @@ def test_transform_bad_ops(capsys):
         "cohn-cover:junk",
         "source-free-form:junk",
         "source-free-equivalent:x",
+        # counts are ASCII digits, as in GTF; int() alone would take these
+        "attach-head:v1,1_0",
+        "attach-head:v1,+2",
+        "subdivide:e,３",
     ):
         code, _, err = run(capsys, "transform", fx("ex26.gtf"), "--op", op)
         assert code == EX_PARSE, op

@@ -334,6 +334,18 @@ def test_refute_search_matches_lockstep_on_small_graphs():
 
 
 def test_shared_closures_match_lockstep_on_random_graphs():
+    _assert_random_graphs_match_lockstep()
+
+
+@pytest.mark.parametrize("cap", [1, 10**9])
+def test_outcomes_do_not_depend_on_the_step_cap(monkeypatch, cap):
+    # 1 grows a side one round per call, as a lockstep would; 10**9 lets a
+    # step run past every budget before the stop rule is checked
+    monkeypatch.setattr(graph_monoid, "_MAX_STEP", cap)
+    _assert_random_graphs_match_lockstep()
+
+
+def _assert_random_graphs_match_lockstep():
     rng = random.Random(families.RANDOM_GRAPH_SEED + 14)
     for g in families.random_graphs(200, seed=families.RANDOM_GRAPH_SEED + 15):
         for budget in (SearchBudget(20), SearchBudget(200)):
@@ -383,10 +395,7 @@ def test_meet_of_grown_closures_matches_lockstep():
             cx, cy = packing.closure(sx), packing.closure(sy)
             ahead, behind = (cx, cy) if x_ahead else (cy, cx)
             for c, pops in ((behind, 3), (ahead, 3 * budget.max_states)):
-                for _ in range(rng.randint(0, pops)):
-                    if c.queue is None:
-                        break
-                    c.pop({})
+                c.grow({}, rng.randint(0, pops))
             meet = graph_monoid._meet(cx, cy)
             if meet is None:
                 got = NotFoundWithinBudget(cx.pops + cy.pops)
