@@ -22,7 +22,7 @@ from .classifiers import classify_sufficient
 from .graph_core import Graph
 from .graph_monoid import SearchBudget, ibn_refute_search
 from .gtf import parse_gtf, serialize_graph
-from .ibn_criterion import construct_witness, decide_ibn
+from .ibn_criterion import decide_ibn
 from .jsonio import classify_json, refute_json, verdict_json, witness_json
 from .transforms import (
     attach_head,
@@ -129,7 +129,9 @@ def cmd_decide(args) -> int:
 
 def cmd_witness(args) -> int:
     g = _load(args.file)
-    w = construct_witness(g)
+    w = decide_ibn(g).witness  # replayed before it is returned
+    if w is None:
+        raise errors.NotApplicable("graph algebra has IBN; no witness exists")
     if args.json:
         sys.stdout.write(_dump(witness_json(w)))
     else:

@@ -5,10 +5,16 @@ rewrite rule replaces a vertex (coefficient permitting) by the sum of the
 ranges of its outgoing edges; it only applies at regular vertices.  Each
 graph has one move table, built in O(V + E), that maps a regular vertex
 to its index and the indices of its ranges; replay, greedy schedules and
-the packed search all read it.  Two elements are equal in the monoid iff
-their forward closures meet, so equality search is a dual breadth-first
-closure with a state budget.  A miss is inconclusive by construction and
-the API says so.
+the packed search all read it.
+
+A step lowers only its own vertex, so steps at vertices that each hold
+at least as many units as they have steps are legal in any order.
+Greedy schedules and replay use this to handle witness-sized schedules
+as counts, in closed form.
+
+Two elements are equal in the monoid iff their forward closures meet, so
+equality search is a dual breadth-first closure with a state budget.  A
+miss is inconclusive by construction and the API says so.
 
 The refutation scan over pairs (m, n) keeps one closure per start
 k * sum(V), grown only as far as some pair needs, and shares it between
@@ -22,8 +28,9 @@ would.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -126,7 +133,14 @@ def apply_relation(g: Graph, x: MonoidVector, v: str) -> MonoidVector:
 
 def replay_trace(g: Graph, start: MonoidVector, trace: RewriteTrace) -> MonoidVector:
     """Apply every step of the trace; raises if any step is illegal, exactly
-    where folding apply_relation over the steps would."""
+    where folding apply_relation over the steps would.
+
+    A step lowers only its own vertex, so when every stepped name is a
+    regular vertex whose start coefficient covers its number of steps, the
+    i-th step at v finds at least start[v] - (i - 1) >= 1 there in any
+    order.  Such a count-certified trace is applied as counts, in
+    O(len(trace)) at C speed plus O(V + E); any other trace is replayed
+    step by step."""
     if not trace.steps:
         return start
     moves = _moves(g)
@@ -134,6 +148,12 @@ def replay_trace(g: Graph, start: MonoidVector, trace: RewriteTrace) -> MonoidVe
     # that passes its own checks fails on it
     stray = next((v for v, _ in start.items() if v not in g.index), None)
     state = [start.get(v) for v in g.vertices]
+    if stray is None:
+        counts = Counter(trace.steps)
+        if all(v in moves and state[moves[v][0]] >= c for v, c in counts.items()):
+            for v, c in counts.items():
+                _fire(state, moves[v], c)
+            return _to_vector(g, state)
     for v in trace.steps:
         move = moves.get(v)
         if move is None:
@@ -175,12 +195,26 @@ def _to_vector(g: Graph, state: Sequence[int]) -> MonoidVector:
     return MonoidVector({v: c for v, c in zip(g.vertices, state)})
 
 
+def _fire(state: list[int], move: tuple[int, tuple[int, ...]], times: int) -> None:
+    """Apply one move table entry `times` times to a state in place."""
+    vi, dsts = move
+    state[vi] -= times
+    for j in dsts:
+        state[j] += times
+
+
 def execute_counts(
     g: Graph, start: MonoidVector, counts: Mapping[str, int]
 ) -> Optional[tuple[MonoidVector, RewriteTrace]]:
     """Greedily apply the relation count(v) times at each regular vertex v:
     round-robin sweeps in canonical order, one application per eligible
-    vertex per sweep.  None when a full sweep makes no progress."""
+    vertex per sweep.  None when a full sweep makes no progress.
+
+    Once every vertex with r_v > 0 steps left holds at least r_v units at
+    the start of a sweep, the rest is fixed: a step lowers only its own
+    vertex, so the s-th sweep from there fires exactly the vertices with
+    r_v >= s.  That tail is emitted as each level's sweep repeated and
+    its end state applied as counts, in O(V + E) beyond the trace."""
     moves = _moves(g)
     remaining = {}
     for v, c in counts.items():
@@ -197,23 +231,40 @@ def execute_counts(
     counted = [(v, vi, dsts) for v, (vi, dsts) in moves.items() if v in remaining]
 
     def sweeps():
-        # steps go straight into the trace tuple, never held twice
-        progressed = True
-        while remaining and progressed:
-            progressed = False
+        # each sweep's steps, or the fixed tail, go straight into the
+        # trace tuple, never held twice
+        while remaining:
+            if all(state[moves[v][0]] >= r for v, r in remaining.items()):
+                yield fixed_tail()
+                return
+            sweep = []
             for v, vi, dsts in counted:
                 if v in remaining and state[vi] >= 1:
                     state[vi] -= 1
                     for j in dsts:
                         state[j] += 1
-                    yield v
-                    progressed = True
+                    sweep.append(v)
                     remaining[v] -= 1
                     if not remaining[v]:
                         del remaining[v]
+            if not sweep:  # a full sweep made no progress
+                return
+            yield sweep
 
-    steps = tuple(sweeps())
-    if remaining:  # a full sweep made no progress
+    def fixed_tail():
+        live = [(v, remaining[v]) for v, _, _ in counted if v in remaining]
+        for v, r in live:
+            _fire(state, moves[v], r)
+        remaining.clear()
+        blocks, done = [], 0
+        for level in sorted({r for _, r in live}):
+            sweep = tuple(v for v, r in live if r >= level)
+            blocks.append(repeat(sweep, level - done))
+            done = level
+        return chain.from_iterable(chain.from_iterable(blocks))
+
+    steps = tuple(chain.from_iterable(sweeps()))
+    if remaining:
         return None
     return _to_vector(g, state), RewriteTrace(steps)
 

@@ -34,6 +34,8 @@ from .graph_core import Graph
 from .graph_monoid import (
     MonoidVector,
     RewriteTrace,
+    _fire,
+    _moves,
     execute_counts,
     replay_trace,
     uniform_vector,
@@ -107,18 +109,21 @@ def _witness_from_solution(
     d = lcm(*(xi.denominator for xi in x[:z]))
     regular = system.order[:z]
     m_ints = [int(xi * d) for xi in x[:z]]
-    support = [(j, mj) for j, mj in enumerate(m_ints) if mj]
-    assert all(  # M (d x) == d * b, in integers
-        sum(row[j] * mj for j, mj in support) == d * r
-        for row, r in zip(system.matrix.row_lists(), system.rhs)
-    )
     m_vec = dict(zip(regular, m_ints))
+    # M (d x) == d * b in integers, in O(V + E): column v of M is one
+    # firing at v, so m_v firings at every v raise each vertex by d
+    moves = _moves(g)
+    net = [0] * len(g.vertices)
+    for v, mv in m_vec.items():
+        _fire(net, moves[v], mv)
+    assert net == [d] * len(net)
     k = {v: max(-mi, 0) for v, mi in m_vec.items()}
     k_prime = {v: max(mi, 0) for v, mi in m_vec.items()}
 
     # With n = max|m_v| every vertex starts with at least k_v (or k'_v)
     # tokens and a firing lowers only its own coordinate, so neither
-    # round-robin sticks.  Column v of M is one firing at v, so the ends
+    # round-robin sticks: execute_counts takes its closed form from the
+    # first sweep, and replay_trace's count certificate holds.  The ends
     # m*1 + M k and n*1 + M k' differ by d*1 - M m_vec = 0.
     n = max(1, max(abs(mi) for mi in m_ints))
     m = n + d
@@ -146,7 +151,8 @@ def verify_witness(g: Graph, w: Witness) -> bool:
     names = g.index
     for where, vs in (
         ("", chain(w.m_vec, w.k, w.k_prime)),
-        (" in trace", chain(w.sigma.steps, w.sigma_prime.steps)),  # no copy
+        # each distinct name once, in order of first appearance
+        (" in trace", dict.fromkeys(chain(w.sigma.steps, w.sigma_prime.steps))),
         (" in gamma", w.gamma.to_dict()),
     ):
         for v in vs:

@@ -134,6 +134,27 @@ def test_replay_trace_matches_folded_apply_relation_on_random_traces():
     assert seen == {MonoidVector, UnknownVertex, NotRegular, InsufficientCoefficient}
 
 
+def _certified(rng, g, top):
+    """Counts at some regular vertices and a start that covers them, plus
+    spare units: the witness regime, where every order of the steps is
+    legal.  Levels are drawn from a few values, so many are equal."""
+    regular = [v for v in g.vertices if g.out_edges(v)]
+    levels = [rng.randint(1, top) for _ in range(3)]
+    counts = {v: rng.choice(levels + [rng.randint(0, top)]) for v in regular}
+    start = MonoidVector({v: counts.get(v, 0) + rng.randint(0, 2) for v in g.vertices})
+    return start, counts
+
+
+def test_certified_traces_replay_in_any_order():
+    rng = random.Random(families.RANDOM_GRAPH_SEED + 21)
+    for g in families.random_graphs(200, seed=families.RANDOM_GRAPH_SEED + 22):
+        start, counts = _certified(rng, g, 4)
+        steps = [v for v, c in counts.items() for _ in range(c)]
+        rng.shuffle(steps)
+        got = replay_trace(g, start, RewriteTrace(tuple(steps)))
+        assert got == _folded(g, start, steps)
+
+
 # ── greedy schedules ─────────────────────────────────────────────────
 
 
@@ -187,6 +208,31 @@ def test_execute_counts_matches_swept_oracle():
     assert 200 < sum(outcomes) < len(outcomes) - 200
 
 
+def test_execute_counts_closed_form_matches_swept_oracle():
+    rng = random.Random(families.RANDOM_GRAPH_SEED + 23)
+    late = 0
+    for g in families.random_graphs(300, seed=families.RANDOM_GRAPH_SEED + 24):
+        start, counts = _certified(rng, g, 6)
+        assert execute_counts(g, start, counts) == families.swept_execute_counts(
+            g, start, counts
+        )
+        # starts too small at first: stepwise sweeps until the counts are
+        # covered, then the closed form
+        low = MonoidVector({v: rng.randint(0, 1) for v in g.vertices})
+        got = execute_counts(g, low, counts)
+        assert got == families.swept_execute_counts(g, low, counts)
+        late += got is not None and any(low.get(v) < c for v, c in counts.items())
+    assert late > 30
+
+
+def test_execute_counts_closed_form_after_a_stepwise_sweep(ex26):
+    # v1 holds 1 < 3: one sweep step by step, then 2 and 1 left are covered
+    start = MonoidVector({"v1": 1})
+    final, trace = execute_counts(ex26, start, {"v1": 3, "v2": 2})
+    assert trace.steps == ("v1", "v2", "v1", "v2", "v1")
+    assert final == _folded(ex26, start, trace.steps)
+
+
 def test_execute_counts_is_linear_on_a_large_graph():
     # 2000 vertices, each with two loops and an edge to the next: a dense
     # per-vertex effect vector would cost 4 M entries here
@@ -205,6 +251,27 @@ def test_execute_counts_is_linear_on_a_large_graph():
         best = min(best, time.perf_counter() - began)
     assert got is not None and len(got[1]) == 3 * (h - 1)
     assert best < 0.1
+
+
+def test_witness_sized_schedules_build_and_replay_in_closed_form():
+    # about 2 * 10**6 steps at 200 distinct levels; a step-by-step build
+    # and replay take well over a second here
+    h, top = 200, 10_000
+    vs = [f"v{i}" for i in range(h)]
+    edges = [(f"a{i}", v, v) for i, v in enumerate(vs)]
+    edges += [(f"c{i}", vs[i], vs[(i + 1) % h]) for i in range(h)]
+    g = build_graph(vs, edges)
+    start = uniform_vector(g, top)
+    counts = {v: top - i for i, v in enumerate(vs)}
+    best = float("inf")
+    for _ in range(3):
+        began = time.perf_counter()
+        final, trace = execute_counts(g, start, counts)
+        end = replay_trace(g, start, trace)
+        best = min(best, time.perf_counter() - began)
+    assert len(trace) == sum(counts.values()) and end == final
+    assert trace.steps[:h] == tuple(vs) and trace.steps[-1] == vs[0]
+    assert best < 0.5
 
 
 # ── equality search ──────────────────────────────────────────────────
